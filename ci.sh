@@ -20,8 +20,10 @@
 #      avx512 when it has avx512f), proving the dispatch override and
 #      the bitwise-identity contract on each variant independently
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
-#      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM /
-#      HostF16-Ozaki suites at both test parallelisms, then a
+#      bit tables + exhaustive 65536-pattern sweeps), the half GEMM
+#      suites and the whole me-ozaki suite (every substrate runs the one
+#      Ozaki pipeline, so no name filter can select just one) at both
+#      test parallelisms, then a
 #      gemm_kernels smoke run (enforces the >= 2x-over-scalar gate on
 #      every SIMD variant the host supports and the cross-variant
 #      bitwise check; leaves artifacts/gemm_kernels_ukernel.txt)
@@ -49,6 +51,9 @@
 #      smoke run of the multi-tenant open-loop replay (enforces the
 #      ring >= mutex throughput gate, the p99-within-SLO gate, and exact
 #      global + per-tenant conservation; leaves artifacts/serve_replay.txt)
+#  9b. benchmark stage: build the mebench package against the current
+#      library and run its self-tests, so a library API change that
+#      breaks the benchmark fails CI
 #  10. me-verify: full static analysis (lints + lock-order + env/hot/fma
 #      rule families, deny warnings) + model audit, uploading
 #      artifacts/verify_report.json and .sarif
@@ -93,13 +98,13 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration
 done
 
-echo "==> half-precision stage: f16/bf16 codec + GEMM + HostF16 suites (both parallelisms)"
+echo "==> half-precision stage: f16/bf16 codec + GEMM suites, whole me-ozaki suite (both parallelisms)"
 cargo test -q -p me-numerics --test half_formats
 cargo test -q -p me-linalg half
-cargo test -q -p me-ozaki host_f16
+cargo test -q -p me-ozaki
 RUST_TEST_THREADS=1 cargo test -q -p me-numerics --test half_formats
 RUST_TEST_THREADS=1 cargo test -q -p me-linalg half
-RUST_TEST_THREADS=1 cargo test -q -p me-ozaki host_f16
+RUST_TEST_THREADS=1 cargo test -q -p me-ozaki
 
 echo "==> half-precision stage: gemm_kernels smoke (release, >= 2x SIMD gate)"
 rm -f artifacts/gemm_kernels_ukernel.txt
@@ -153,6 +158,10 @@ echo "==> serve-scale stage: multi-tenant replay smoke (throughput/SLO/conservat
 rm -f artifacts/serve_replay.txt
 ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench serve_throughput
 test -s artifacts/serve_replay.txt
+
+echo "==> benchmark stage: build mebench against the library and run its self-tests"
+cargo build --release --offline --manifest-path mebench/Cargo.toml
+cargo test --release --offline --manifest-path mebench/Cargo.toml
 
 echo "==> me-verify --deny-warnings (json + sarif artifacts)"
 mkdir -p artifacts

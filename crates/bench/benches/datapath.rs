@@ -69,10 +69,12 @@ fn bench_ozaki_parallel(c: &mut Criterion) {
     g.sample_size(10);
     let a = me_ozaki::perf::ranged_matrix(48, 48, 8.0, 1);
     let b = me_ozaki::perf::ranged_matrix(48, 48, 8.0, 2);
-    let cfg = me_ozaki::OzakiConfig::dgemm_tc();
+    let backend = me_ozaki::OzakiBackend::dgemm_tc();
+    let kernel = me_linalg::selected_kernel();
     for threads in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("dgemm_tc_48", threads), &threads, |bench, &t| {
-            bench.iter(|| me_ozaki::ozaki_gemm_parallel(&a, &b, &cfg, t))
+            let workers = me_ozaki::Workers::Threads(t);
+            bench.iter(|| me_ozaki::ozaki_gemm_with(&a, &b, &backend, kernel, workers))
         });
     }
     g.finish();

@@ -18,7 +18,8 @@ use me_linalg::{
 use me_ozaki::gemm::reference_gemm;
 use me_ozaki::perf::ranged_matrix;
 use me_ozaki::{
-    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, ozaki_gemm_int8, Int8Engine, OzakiConfig,
+    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, ozaki_gemm_backend, OzakiBackend,
+    OzakiConfig,
 };
 use std::time::Instant;
 
@@ -60,9 +61,9 @@ fn bench_ozaki_substrates(c: &mut Criterion) {
     let a = ranged_matrix(n, n, 8.0, 21);
     let b = ranged_matrix(n, n, 8.0, 22);
     let cfg = OzakiConfig::dgemm_tc();
-    let engine = Int8Engine::default();
+    let engine = OzakiBackend::host_int8();
     g.bench_function("simulated_f16_me", |bench| bench.iter(|| ozaki_gemm(&a, &b, &cfg)));
-    g.bench_function("host_int8", |bench| bench.iter(|| ozaki_gemm_int8(&a, &b, &engine)));
+    g.bench_function("host_int8", |bench| bench.iter(|| ozaki_gemm_backend(&a, &b, &engine)));
     g.finish();
 }
 
@@ -134,8 +135,7 @@ fn bench_int8_gates(_c: &mut Criterion) {
     let n = if sm { 24 } else { 48 };
     let am = ranged_matrix(n, n, 12.0, 23);
     let bm = ranged_matrix(n, n, 12.0, 24);
-    let engine = Int8Engine::default();
-    let r = ozaki_gemm_int8(&am, &bm, &engine);
+    let r = ozaki_gemm_backend(&am, &bm, &OzakiBackend::host_int8());
     let c_ref = reference_gemm(&am, &bm);
     let err = me_numerics::max_rel_err(r.c.as_slice(), c_ref.as_slice());
     assert!(err < 1e-12, "accuracy gate: int8 ozaki rel err {err} at n={n}");

@@ -139,7 +139,7 @@ impl std::error::Error for ExecError {}
 /// *measured* parallelism.
 ///
 /// The measured side (`me_linalg::gemm_parallel`, `me_ozaki::
-/// ozaki_gemm_parallel`, the scaling benches) and this execution model both
+/// ozaki_gemm_with`, the scaling benches) and this execution model both
 /// resolve the same way — an explicit count wins, otherwise the `ME_THREADS`
 /// environment variable, otherwise the OS ([`me_par::resolve_threads`]) —
 /// so a modeled speedup and a benchmarked speedup always refer to the same

@@ -7,8 +7,8 @@
 //! that "the number of split matrices required depends on the absolute
 //! value range of the elements".
 
+use crate::engine::F16_F32;
 use crate::gemm::OzakiConfig;
-use crate::split::required_beta;
 
 /// Predicted split cost for a GEMM with the given shape and input spread.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,20 +24,12 @@ pub struct SplitPlan {
     pub rel_error_bound: f64,
 }
 
-/// Plan a split for inner dimension `k` and inputs whose elements span
-/// `spread_bits` binary orders of magnitude below each line maximum.
+/// Plan a split on the simulated f16/f32 engine for inner dimension `k`
+/// and inputs whose elements span `spread_bits` binary orders of
+/// magnitude below each line maximum.
 pub fn plan(cfg: &OzakiConfig, k: usize, spread_bits: u32) -> SplitPlan {
-    let kb = cfg.k_block.max(1).min(k.max(1));
-    let beta = required_beta(kb, cfg.acc_precision, cfg.mul_precision);
-    let target_bits = match cfg.target {
-        crate::gemm::TargetAccuracy::Exact => 53 + spread_bits,
-        crate::gemm::TargetAccuracy::DgemmEquivalent => {
-            53 + (k.max(1) as f64).log2().ceil() as u32 + 2
-        }
-        crate::gemm::TargetAccuracy::SgemmEquivalent => {
-            24 + (k.max(1) as f64).log2().ceil() as u32 + 2
-        }
-    };
+    let beta = cfg.schedule(k, F16_F32).beta;
+    let target_bits = cfg.target_bits(k).unwrap_or(53 + spread_bits);
     let slices = (target_bits as usize).div_ceil(beta as usize) + 1;
     let cutoff = slices + 1;
     let mut products = 0usize;

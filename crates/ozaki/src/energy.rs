@@ -13,9 +13,7 @@
 //! ([`emit_energy_counters`]) and rendered into `artifacts/` by the
 //! `ozaki_int8` bench.
 
-use crate::gemm::OzakiConfig;
-use crate::host_f16::HostF16Engine;
-use crate::int8::Int8Engine;
+use crate::backend::OzakiBackend;
 use crate::perf::{charge_emulated, schedule_from_sample, EmulatedGemmPerf};
 use me_engine::{catalog, EngineKind, ExecutionModel, NumericFormat};
 
@@ -63,48 +61,13 @@ fn row(config: &'static str, decades: f64, perf: &EmulatedGemmPerf) -> EnergyRow
 /// n = 8192 for input ranges of 8, 16 and 32 decades, DGEMM-equivalent
 /// accuracy on both.
 pub fn int8_vs_f16_rows() -> Vec<EnergyRow> {
-    let mut rows = Vec::with_capacity(6);
-    let model = ExecutionModel::new(catalog::a100());
-    let cfg = OzakiConfig::dgemm_tc();
-    let engine = Int8Engine::default();
-    for decades in [8.0f64, 16.0, 32.0] {
-        let seed = 0x5eed ^ decades.to_bits();
-        // FP16 substrate, charged on the A100's FP16 Tensor Cores so the
-        // device is held fixed across the comparison.
-        let kb_s = cfg.k_block.max(1).min(SAMPLE_N);
-        let beta_s = crate::split::required_beta(kb_s, cfg.acc_precision, cfg.mul_precision);
-        let kb_f = cfg.k_block.max(1).min(N);
-        let beta_f = crate::split::required_beta(kb_f, cfg.acc_precision, cfg.mul_precision);
-        let (slices, products) =
-            schedule_from_sample(decades, SAMPLE_N, seed, beta_s, beta_f, 53.0);
-        let f16 = charge_emulated(
-            &model,
-            EngineKind::MatrixEngine,
-            NumericFormat::F16xF32,
-            N,
-            slices,
-            products,
-        );
-        rows.push(row("f16-me", decades, &f16));
-
-        // INT8 substrate on the same device's INT8 Tensor Cores.
-        let (slices, products) = schedule_from_sample(
-            decades,
-            SAMPLE_N,
-            seed,
-            engine.slice_bits(SAMPLE_N),
-            engine.slice_bits(N),
-            53.0,
-        );
-        let i8p =
-            charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::I8, N, slices, products);
-        rows.push(row("int8", decades, &i8p));
-    }
+    let mut rows = host_f16_vs_me_vs_int8_rows();
+    rows.retain(|r| r.config != "f16-host");
     rows
 }
 
 /// The complete three-substrate comparison the PR 8 follow-up asked for:
-/// FP16-host (the measured [`crate::host_f16`] path, charged on the Xeon
+/// FP16-host (the measured [`OzakiBackend::HostF16`] path, charged on the Xeon
 /// Gold 6148's f32 SIMD peak), FP16-ME and INT8 (both on the A100's
 /// Tensor Cores), at n = 8192 for input ranges of 8, 16 and 32 decades —
 /// nine rows, three per range, DGEMM-equivalent accuracy everywhere.
@@ -117,21 +80,13 @@ pub fn host_f16_vs_me_vs_int8_rows() -> Vec<EnergyRow> {
     let mut rows = Vec::with_capacity(9);
     let me_model = ExecutionModel::new(catalog::a100());
     let host_model = ExecutionModel::new(catalog::xeon_gold_6148());
-    let cfg = OzakiConfig::dgemm_tc();
-    let host = HostF16Engine::default();
-    let engine = Int8Engine::default();
     for decades in [8.0f64, 16.0, 32.0] {
         let seed = 0x5eed ^ decades.to_bits();
-        // One f16 schedule serves both f16 arms: HostF16Engine::beta and
-        // required_beta(cfg) agree at every k by construction.
-        let kb_s = cfg.k_block.max(1).min(SAMPLE_N);
-        let beta_s = crate::split::required_beta(kb_s, cfg.acc_precision, cfg.mul_precision);
-        let kb_f = cfg.k_block.max(1).min(N);
-        let beta_f = crate::split::required_beta(kb_f, cfg.acc_precision, cfg.mul_precision);
-        debug_assert_eq!(beta_s, host.beta(SAMPLE_N));
-        debug_assert_eq!(beta_f, host.beta(N));
+        // One f16 schedule serves both f16 arms: the host-f16 and
+        // simulated engines share their formats, so their schedules agree
+        // at every k by construction.
         let (slices, products) =
-            schedule_from_sample(decades, SAMPLE_N, seed, beta_s, beta_f, 53.0);
+            schedule_from_sample(&OzakiBackend::host_f16(), N, decades, SAMPLE_N, seed);
 
         let hf = charge_emulated(
             &host_model,
@@ -153,14 +108,8 @@ pub fn host_f16_vs_me_vs_int8_rows() -> Vec<EnergyRow> {
         );
         rows.push(row("f16-me", decades, &f16));
 
-        let (slices, products) = schedule_from_sample(
-            decades,
-            SAMPLE_N,
-            seed,
-            engine.slice_bits(SAMPLE_N),
-            engine.slice_bits(N),
-            53.0,
-        );
+        let (slices, products) =
+            schedule_from_sample(&OzakiBackend::host_int8(), N, decades, SAMPLE_N, seed);
         let i8p = charge_emulated(
             &me_model,
             EngineKind::MatrixEngine,

@@ -1,20 +1,24 @@
-//! The Ozaki-scheme GEMM, dot product, and GEMV (steps 2–3 of the scheme).
+//! The Ozaki-scheme pipeline (steps 2–3 of the scheme), written once for
+//! every substrate.
 //!
-//! One serial core serves every front end: the slice matrices are converted
-//! to integer-valued `f32` panels **once** (line-major, B transposed so each
-//! column streams contiguously), and [`accumulate_row_panel`] folds the
-//! slice-pair products into a row panel of accumulators in a fixed
-//! `(p, q) → k-chunk → element` order. Because that per-element order never
-//! depends on the row partition, [`ozaki_gemm_parallel`] — which fans row
-//! panels over a persistent [`me_par::WorkerPool`] — is bitwise identical
-//! to [`ozaki_gemm`] for any thread count.
+//! `run` is the whole scheme: split both operands, pack each slice
+//! **once** into the engine's element type (line-major, B transposed so
+//! each column streams contiguously), then fold the slice-pair products
+//! into a row panel of accumulators in a fixed `(p, q) → k-chunk →
+//! element` order. What differs between substrates — the slice element,
+//! its exact narrowing, the engine's formats and the chunk call — comes
+//! from a `SliceEngine` ([`crate::engine`]). Because the per-element order never depends on
+//! the row partition or the engine, a run fanned over a
+//! [`me_par::WorkerPool`] is bitwise identical to the serial run, and
+//! engines whose chunk sums are exact agree bit for bit at a matched β.
 
+use crate::engine::{Simulated, SliceEngine};
 use crate::split::{
-    ceil_log2, required_beta, split_cols, split_cols_parallel, split_line, split_rows,
-    split_rows_parallel, SplitMatrix,
+    ceil_log2, required_beta, split_cols, split_cols_parallel, split_rows, split_rows_parallel,
+    SplitMatrix,
 };
 use me_linalg::Mat;
-use me_numerics::formats::{narrow_f32_exact, pow2};
+use me_numerics::formats::pow2;
 use me_numerics::sum::Accumulator;
 
 /// Target accuracy / truncation policy.
@@ -34,13 +38,27 @@ pub enum TargetAccuracy {
     SgemmEquivalent,
 }
 
-/// Configuration of the emulated engine and accuracy target.
+impl TargetAccuracy {
+    /// Significand bits of the emulated format: 24 for SGEMM, 53 otherwise.
+    pub(crate) fn precision(self) -> u32 {
+        match self {
+            TargetAccuracy::SgemmEquivalent => 24,
+            TargetAccuracy::Exact | TargetAccuracy::DgemmEquivalent => 53,
+        }
+    }
+}
+
+/// Configuration of an emulated GEMM: the formats the slicing may assume
+/// and the accuracy target. One config serves every substrate; each
+/// engine clamps the two precisions to its own formats.
 #[derive(Debug, Clone, Copy)]
 pub struct OzakiConfig {
-    /// Precision (significand bits incl. implicit bit) of the engine's
-    /// multiply format: 11 for f16 Tensor Cores.
+    /// Precision (significand bits incl. implicit bit) of the multiply
+    /// format: 11 for f16 Tensor Cores. Engines clamp it to their own
+    /// (f16: 11, i8: 6).
     pub mul_precision: u32,
-    /// Precision of the engine's accumulator: 24 for f32 accumulation.
+    /// Precision of the accumulator: 24 for f32 accumulation. Engines
+    /// clamp it to their own (f32: 24, i32: 31).
     pub acc_precision: u32,
     /// Accuracy target.
     pub target: TargetAccuracy,
@@ -67,6 +85,17 @@ impl Default for OzakiConfig {
     }
 }
 
+/// The slice schedule of one GEMM, as [`crate::OzakiBackend::schedule`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Schedule {
+    /// Slice bit width β.
+    pub beta: u32,
+    /// Slices per operand at most.
+    pub budget: usize,
+    /// Slice pairs `(p, q)` with `p + q ≥ cutoff` are skipped.
+    pub cutoff: usize,
+}
+
 impl OzakiConfig {
     /// Tensor-core configuration at DGEMM-equivalent accuracy
     /// (the paper's "DGEMM-TC").
@@ -79,13 +108,12 @@ impl OzakiConfig {
         OzakiConfig { target: TargetAccuracy::SgemmEquivalent, ..Self::default() }
     }
 
-    /// Bits of accuracy the target requires below each line maximum.
-    fn target_bits(&self, k: usize) -> u32 {
-        let log2k = ceil_log2(k.max(1));
+    /// Bits of accuracy the target requires below each line maximum;
+    /// `None` for [`TargetAccuracy::Exact`].
+    pub(crate) fn target_bits(&self, k: usize) -> Option<u32> {
         match self.target {
-            TargetAccuracy::Exact => u32::MAX,
-            TargetAccuracy::DgemmEquivalent => 53 + log2k + 2,
-            TargetAccuracy::SgemmEquivalent => 24 + log2k + 2,
+            TargetAccuracy::Exact => None,
+            t => Some(t.precision() + ceil_log2(k.max(1)) + 2),
         }
     }
 
@@ -93,23 +121,32 @@ impl OzakiConfig {
     /// extraction advances at least β bits, so covering `target_bits` needs
     /// `⌈target/β⌉` slices (plus guard), and slice pairs `(p, q)` with
     /// `p + q` beyond the same depth contribute below the target.
-    fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
-        let target_bits = self.target_bits(k);
-        if target_bits == u32::MAX {
-            (self.max_slices, usize::MAX)
-        } else {
-            let depth = (target_bits as usize).div_ceil(beta as usize);
-            (depth.saturating_add(2).min(self.max_slices), depth.saturating_add(1))
+    pub fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
+        match self.target_bits(k) {
+            None => (self.max_slices, usize::MAX),
+            Some(bits) => {
+                let depth = (bits as usize).div_ceil(beta as usize);
+                (depth.saturating_add(2).min(self.max_slices), depth.saturating_add(1))
+            }
         }
     }
 
-    /// Effective accumulation length per engine call.
-    fn effective_k(&self, k: usize) -> usize {
-        k.max(1).min(self.k_block.max(1))
+    /// The one β/budget/cutoff decision, for inner dimension `k` on an
+    /// engine whose formats hold `(mul, acc)` significand bits.
+    ///
+    /// β is [`required_beta`] over one engine call (`min(k, k_block)`
+    /// products), with the config's precisions clamped to the engine's:
+    /// asking for more than the engine has would pick a β whose chunk
+    /// sums the engine cannot hold exactly.
+    pub(crate) fn schedule(&self, k: usize, (mul, acc): (u32, u32)) -> Schedule {
+        let k_eff = k.max(1).min(self.k_block.max(1));
+        let beta = required_beta(k_eff, self.acc_precision.min(acc), self.mul_precision.min(mul));
+        let (budget, cutoff) = self.budget_and_cutoff(k, beta);
+        Schedule { beta, budget, cutoff }
     }
 }
 
-/// Result of an Ozaki-scheme operation, with the counters the performance
+/// Result of an Ozaki-scheme GEMM, with the counters the performance
 /// model (Table VIII) needs.
 #[derive(Debug, Clone)]
 pub struct OzakiReport {
@@ -119,87 +156,72 @@ pub struct OzakiReport {
     pub s_a: usize,
     /// Number of slices of B.
     pub s_b: usize,
-    /// Slice-pair GEMMs actually executed on the (simulated) engine.
+    /// Slice-pair GEMMs actually executed on the engine.
     pub products_computed: usize,
     /// Slice pairs skipped by the accuracy cutoff.
     pub products_skipped: usize,
+    /// Engine calls (slice pairs × k-chunks) — a property of the
+    /// schedule, identical for every partition and kernel variant.
+    pub engine_calls: usize,
     /// Slice bit width β.
     pub beta: u32,
     /// Whether both splits were exact decompositions.
     pub split_exact: bool,
 }
 
-/// Emulated high-precision GEMM `C = A·B` via the Ozaki scheme.
+/// Emulated high-precision GEMM `C = A·B` via the Ozaki scheme on the
+/// simulated f16-multiply/f32-accumulate matrix engine, serial.
 ///
 /// The slice-pair products run in genuine `f32` arithmetic on
 /// integer-valued matrices — bit-exact for the same reason Tensor-Core
 /// f32 accumulation is — and are recombined in f64 with a deterministic
 /// double-double accumulator, so the result is bitwise reproducible.
 pub fn ozaki_gemm(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig) -> OzakiReport {
-    ozaki_gemm_impl(a, b, cfg, None)
+    run(a, b, cfg, &Simulated, None)
 }
 
-/// The shared serial/parallel core: split, convert each slice to an integer
-/// `f32` panel once, then fold slice-pair products into per-element
-/// accumulators — over the whole matrix (serial) or over disjoint row
-/// panels of the accumulator grid, one pool job per panel.
-fn ozaki_gemm_impl(
+/// The pipeline: split, pack each slice once into the engine's element
+/// type, then fold slice-pair engine calls into per-element accumulators
+/// — over the whole matrix (serial) or over disjoint row panels of the
+/// accumulator grid, one pool job per panel.
+pub(crate) fn run<E: SliceEngine>(
     a: &Mat<f64>,
     b: &Mat<f64>,
     cfg: &OzakiConfig,
+    engine: &E,
     pool: Option<&me_par::WorkerPool>,
 ) -> OzakiReport {
     assert_eq!(a.cols(), b.rows(), "ozaki_gemm: inner dimension mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
+    let Schedule { beta, budget, cutoff } = cfg.schedule(k, engine.widths());
+    let names = &E::TRACE;
 
-    let split_span = me_trace::span("ozaki.split", "ozaki");
+    let split_span = me_trace::span(names.split, "ozaki");
     let (sa, sb) = match pool {
-        Some(p) => (split_rows_parallel(a, beta, budget, p), split_cols_parallel(b, beta, budget, p)),
+        Some(p) => {
+            (split_rows_parallel(a, beta, budget, p), split_cols_parallel(b, beta, budget, p))
+        }
         None => (split_rows(a, beta, budget), split_cols(b, beta, budget)),
     };
-
-    // Integer-scale every slice once. `ints_a[p]` is m×k line-major;
-    // `ints_b[q]` is transposed to n×k so a column of B streams
-    // contiguously in the inner dot loop. The old implementation rebuilt
-    // these inside every (p, q) pair and k-chunk.
-    let ints_a: Vec<Vec<f32>> = sa
-        .slices
-        .iter()
-        .zip(&sa.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, true))
-        .collect();
-    let ints_b: Vec<Vec<f32>> = sb
-        .slices
-        .iter()
-        .zip(&sb.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, false))
-        .collect();
+    let (pa, pb) = (pack::<E>(&sa), pack::<E>(&sb));
     drop(split_span);
-    me_trace::counter_add("ozaki.slices_a", sa.len() as u64);
-    me_trace::counter_add("ozaki.slices_b", sb.len() as u64);
+    me_trace::counter_add(names.slices_a, sa.len() as u64);
+    me_trace::counter_add(names.slices_b, sb.len() as u64);
 
-    // Pair counters are a property of the schedule, not of the partition:
-    // count them once (the old row-stitching parallel front summed each
-    // panel's counters and over-reported the engine calls).
-    let mut computed = 0usize;
-    let mut skipped = 0usize;
-    for p in 0..sa.len() {
-        for q in 0..sb.len() {
-            if p + q >= cutoff {
-                skipped += 1;
-            } else {
-                computed += 1;
-            }
-        }
-    }
-    me_trace::counter_add("ozaki.products_computed", computed as u64);
-    me_trace::counter_add("ozaki.products_skipped", skipped as u64);
-
+    // The pair schedule is a property of the slice counts and the cutoff,
+    // never of the partition: count it once.
+    let computed: usize = (0..sa.len()).map(|p| sb.len().min(cutoff.saturating_sub(p))).sum();
+    let skipped = sa.len() * sb.len() - computed;
     let kb = cfg.k_block.max(1);
-    let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m * n];
+    let engine_calls = computed * k.div_ceil(kb);
+    me_trace::counter_add(names.products_computed, computed as u64);
+    me_trace::counter_add(names.products_skipped, skipped as u64);
+    me_trace::counter_add(names.engine_calls, engine_calls as u64);
+
+    let fold =
+        Fold { a: &pa, a_exp: &sa.scale_exp, b: &pb, b_exp: &sb.scale_exp, beta, k, n, kb, cutoff };
+    let mut acc = vec![Accumulator::new(); m * n];
     match pool {
         Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
             let rows_per = m.div_ceil(pl.threads());
@@ -208,31 +230,14 @@ fn ozaki_gemm_impl(
                 .enumerate()
                 .map(|(t, chunk)| (t * rows_per, chunk))
                 .collect();
-            pl.for_each_mut(&mut panels, |_, (r0, panel)| {
-                accumulate_row_panel(
-                    &ints_a, &sa.scale_exp, &ints_b, &sb.scale_exp, beta, k, n, kb, cutoff, *r0,
-                    panel,
-                );
-            });
+            pl.for_each_mut(&mut panels, |_, (r0, panel)| fold.row_panel(engine, *r0, panel));
         }
-        _ => accumulate_row_panel(
-            &ints_a,
-            &sa.scale_exp,
-            &ints_b,
-            &sb.scale_exp,
-            beta,
-            k,
-            n,
-            kb,
-            cutoff,
-            0,
-            &mut acc,
-        ),
+        _ => fold.row_panel(engine, 0, &mut acc),
     }
 
     let mut c = Mat::zeros(m, n);
-    for (out, a) in c.as_mut_slice().iter_mut().zip(&acc) {
-        *out = a.value();
+    for (out, ac) in c.as_mut_slice().iter_mut().zip(&acc) {
+        *out = ac.value();
     }
     OzakiReport {
         c,
@@ -240,91 +245,97 @@ fn ozaki_gemm_impl(
         s_b: sb.len(),
         products_computed: computed,
         products_skipped: skipped,
+        engine_calls,
         beta,
         split_exact: sa.complete && sb.complete,
     }
 }
 
-/// Scale one slice matrix to its integer `f32` panel:
-/// `Int[i][p] = slice[i][p] / 2^(exp[line] − β)`, line-major (`by_rows`
-/// selects whether lines are rows of A or columns of B; the B panel comes
-/// out transposed, n×k). The integers have at most β+1 bits, exactly
-/// representable in the engine's multiply format.
-fn int_scale_lines(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool) -> Vec<f32> {
-    let nlines = exps.len();
-    let line_len = if by_rows { slice.cols() } else { slice.rows() };
-    let mut buf = vec![0.0f32; nlines * line_len];
-    for (li, &e) in exps.iter().enumerate() {
-        let se = beta as i32 - e;
-        let line = &mut buf[li * line_len..(li + 1) * line_len];
-        for (p, out) in line.iter_mut().enumerate() {
-            let v = if by_rows { slice[(li, p)] } else { slice[(p, li)] };
-            if v == 0.0 {
-                continue;
+/// Pack every slice of a split into engine panels:
+/// `panel[li][p] = narrow(slice[li][p] · 2^(β − exp[line]))`, line-major
+/// (rows of A; columns of B, so the B panel comes out transposed, n×k).
+/// Every scaled value is an integer of magnitude ≤ 2^β by the split
+/// invariant, which each engine's narrowing holds exactly.
+fn pack<E: SliceEngine>(s: &SplitMatrix) -> Vec<Vec<E::Elem>> {
+    let beta = s.beta as i32;
+    s.slices
+        .iter()
+        .zip(&s.scale_exp)
+        .map(|(slice, exps)| {
+            let line_len = if s.by_rows { slice.cols() } else { slice.rows() };
+            let mut buf = vec![E::Elem::default(); exps.len() * line_len];
+            for (li, (line, &e)) in buf.chunks_mut(line_len.max(1)).zip(exps).enumerate() {
+                let se = beta - e;
+                for (p, out) in line.iter_mut().enumerate() {
+                    let v = if s.by_rows { slice[(li, p)] } else { slice[(p, li)] };
+                    if v == 0.0 {
+                        continue;
+                    }
+                    // Subnormal lines need `2^(β − e)` beyond f64 range:
+                    // split the scaling so each step stays representable
+                    // (both exact).
+                    let x = if se > 1023 {
+                        (v * pow2(1023)) * pow2(se - 1023)
+                    } else {
+                        v * pow2_checked(se)
+                    };
+                    *out = E::narrow(x);
+                }
             }
-            // Subnormal lines need `2^(β − e)` beyond f64 range: split the
-            // scaling so each step stays representable (both exact).
-            let x = if se > 1023 { (v * pow2(1023)) * pow2(se - 1023) } else { v * pow2_checked(se) };
-            *out = narrow_f32_exact(x);
-        }
-    }
-    buf
+            buf
+        })
+        .collect()
 }
 
-/// Fold every scheduled slice-pair product into the accumulator rows
-/// `[r0, r0 + panel.len()/n)`.
-///
-/// The per-element order is `(p, q)` pair (p outer) → k-chunk → element,
-/// with exact-zero products skipped — identical for every row partition,
-/// and identical to the systolic-engine path in `engine_exec`. Each
-/// k-chunk's dot product runs in genuine `f32` arithmetic on β-bit
-/// integers, so it is exact — what the accumulator receives does not
-/// depend on how the chunk dot was internally ordered.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_row_panel(
-    ints_a: &[Vec<f32>],
-    a_exp: &[Vec<i32>],
-    ints_b: &[Vec<f32>],
-    b_exp: &[Vec<i32>],
+/// The packed operands and schedule one accumulator fold reads.
+struct Fold<'a, T> {
+    a: &'a [Vec<T>],
+    a_exp: &'a [Vec<i32>],
+    b: &'a [Vec<T>],
+    b_exp: &'a [Vec<i32>],
     beta: u32,
     k: usize,
     n: usize,
     kb: usize,
     cutoff: usize,
-    r0: usize,
-    acc: &mut [Accumulator],
-) {
-    let rows = if n == 0 { 0 } else { acc.len() / n };
-    if rows == 0 || k == 0 {
-        return;
-    }
-    // One span per panel: under the parallel front this lands on the
-    // worker that owns the panel, giving per-lane accumulate phases.
-    let _t = me_trace::span("ozaki.accumulate", "ozaki");
-    for (p, (ia, ea)) in ints_a.iter().zip(a_exp).enumerate() {
-        for (q, (ib, eb)) in ints_b.iter().zip(b_exp).enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                for li in 0..rows {
-                    let gi = r0 + li;
-                    let arow = &ia[gi * k + k0..gi * k + k0 + kc];
-                    let e_ai = ea[gi];
-                    for j in 0..n {
-                        let brow = &ib[j * k + k0..j * k + k0 + kc];
-                        // The engine call: exact f32 integer dot (verified
-                        // by `f32_products_are_exact`).
-                        let mut s = 0.0f32;
-                        for (&x, &y) in arow.iter().zip(brow) {
-                            s = x.mul_add(y, s);
+}
+
+impl<T> Fold<'_, T> {
+    /// Fold every scheduled slice-pair engine call into the accumulator
+    /// rows `[r0, r0 + acc.len()/n)`.
+    ///
+    /// The per-element order is `(p, q)` pair (p outer) → k-chunk →
+    /// element, with exact-zero chunk sums skipped — identical for every
+    /// row partition and engine. Each chunk sum is exact (β is chosen for
+    /// it), so what the accumulator receives does not depend on how the
+    /// engine ordered the chunk internally.
+    fn row_panel<E: SliceEngine<Elem = T>>(&self, engine: &E, r0: usize, acc: &mut [Accumulator]) {
+        let (k, n) = (self.k, self.n);
+        let rows = acc.len().checked_div(n).unwrap_or(0);
+        if rows == 0 || k == 0 {
+            return;
+        }
+        // One span per panel: under a pool this lands on the worker that
+        // owns the panel, giving per-lane accumulate phases.
+        let _t = me_trace::span(E::TRACE.accumulate, "ozaki");
+        let mut tile = vec![E::Sum::default(); rows * n];
+        for (p, (pa, ea)) in self.a.iter().zip(self.a_exp).enumerate() {
+            for (q, (pb, eb)) in self.b.iter().zip(self.b_exp).enumerate() {
+                if p + q >= self.cutoff {
+                    continue;
+                }
+                for k0 in (0..k).step_by(self.kb) {
+                    let kc = self.kb.min(k - k0);
+                    engine.chunk(rows, n, kc, &pa[r0 * k + k0..], &pb[k0..], k, &mut tile);
+                    for (li, (row, out)) in tile.chunks(n).zip(acc.chunks_mut(n)).enumerate() {
+                        let e_ai = ea[r0 + li];
+                        for ((&s, ac), &e_bj) in row.iter().zip(out).zip(eb) {
+                            let s: f64 = s.into();
+                            if s == 0.0 {
+                                continue;
+                            }
+                            ac.add(s * pow2_checked(e_ai + e_bj - 2 * self.beta as i32));
                         }
-                        if s == 0.0 {
-                            continue;
-                        }
-                        let scale = pow2_checked(e_ai + eb[j] - 2 * beta as i32);
-                        acc[li * n + j].add(s as f64 * scale);
                     }
                 }
             }
@@ -334,7 +345,7 @@ fn accumulate_row_panel(
 
 /// Power of two that tolerates the full split exponent range by chaining
 /// two `pow2` factors when the exponent exceeds f64's normal range.
-fn pow2_checked(e: i32) -> f64 {
+pub(crate) fn pow2_checked(e: i32) -> f64 {
     if (-1022..=1023).contains(&e) {
         pow2(e)
     } else if e > 1023 {
@@ -345,99 +356,21 @@ fn pow2_checked(e: i32) -> f64 {
 }
 
 /// Ozaki-scheme dot product (paper §IV-B note (2): the scheme extends to
-/// BLAS-1/2, letting MEs serve those levels' internals).
-///
-/// Runs directly on per-line splits — no 1×k/k×1 matrix shims, no
-/// allocation beyond the slice buffers.
+/// BLAS-1/2, letting MEs serve those levels' internals): the 1×k·k×1
+/// GEMM on the simulated engine.
 pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     assert_eq!(x.len(), y.len(), "ozaki_dot: length mismatch");
-    let k = x.len();
-    if k == 0 {
-        return 0.0;
-    }
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-    let sx = split_line(x, beta, budget);
-    let sy = split_line(y, beta, budget);
-    let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
-    let iy: Vec<Vec<f32>> = sy.vals.iter().zip(&sy.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
-
-    let kb = cfg.k_block.max(1);
-    let mut acc = Accumulator::new();
-    for (p, xs) in ix.iter().enumerate() {
-        for (q, ys) in iy.iter().enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            let scale = pow2_checked(sx.exps[p] + sy.exps[q] - 2 * beta as i32);
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                let mut s = 0.0f32;
-                for (&a, &b) in xs[k0..k0 + kc].iter().zip(&ys[k0..k0 + kc]) {
-                    s = a.mul_add(b, s);
-                }
-                if s == 0.0 {
-                    continue;
-                }
-                acc.add(s as f64 * scale);
-            }
-        }
-    }
-    acc.value()
+    let a = Mat::from_vec(1, x.len(), x.to_vec());
+    let b = Mat::from_vec(y.len(), 1, y.to_vec());
+    ozaki_gemm(&a, &b, cfg).c[(0, 0)]
 }
 
-/// Ozaki-scheme matrix-vector product `y = A·x`: per-row splits of A
-/// against a single line split of x, no column-matrix shim.
+/// Ozaki-scheme matrix-vector product `y = A·x`: the m×k·k×1 GEMM on the
+/// simulated engine.
 pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "ozaki_gemv: inner dimension mismatch");
-    let (m, k) = a.shape();
-    if k == 0 {
-        return vec![0.0; m];
-    }
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-    let sa = split_rows(a, beta, budget);
-    let sx = split_line(x, beta, budget);
-    let ints_a: Vec<Vec<f32>> = sa
-        .slices
-        .iter()
-        .zip(&sa.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, true))
-        .collect();
-    let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
-
-    let kb = cfg.k_block.max(1);
-    let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m];
-    for (p, (ia, ea)) in ints_a.iter().zip(&sa.scale_exp).enumerate() {
-        for (q, xs) in ix.iter().enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                for (i, ai) in acc.iter_mut().enumerate() {
-                    let arow = &ia[i * k + k0..i * k + k0 + kc];
-                    let mut s = 0.0f32;
-                    for (&av, &xv) in arow.iter().zip(&xs[k0..k0 + kc]) {
-                        s = av.mul_add(xv, s);
-                    }
-                    if s == 0.0 {
-                        continue;
-                    }
-                    ai.add(s as f64 * pow2_checked(ea[i] + sx.exps[q] - 2 * beta as i32));
-                }
-            }
-        }
-    }
-    acc.iter().map(|a| a.value()).collect()
-}
-
-/// [`int_scale_lines`] for a single line: `v[p] / 2^(e − β)` as exact f32.
-fn int_scale_line(vals: &[f64], e: i32, beta: u32) -> Vec<f32> {
-    let scale = pow2_checked(beta as i32 - e);
-    vals.iter()
-        .map(|&v| if v == 0.0 { 0.0 } else { narrow_f32_exact(v * scale) })
-        .collect()
+    let b = Mat::from_vec(x.len(), 1, x.to_vec());
+    ozaki_gemm(a, &b, cfg).c.as_slice().to_vec()
 }
 
 /// Reference product computed with doubled-precision dot products
@@ -458,18 +391,14 @@ pub fn reference_gemm(a: &Mat<f64>, b: &Mat<f64>) -> Mat<f64> {
     c
 }
 
-/// Expose the split types for callers assembling custom pipelines.
-pub fn split_for_gemm(a: &Mat<f64>, k: usize, cfg: &OzakiConfig) -> (SplitMatrix, u32) {
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
-    (split_rows(a, beta, cfg.max_slices), beta)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::backend::{ozaki_gemm_with, OzakiBackend, Workers};
+    use me_linalg::KernelVariant;
     use me_numerics::{max_rel_err, ulp_diff};
 
-    fn mk(m: usize, n: usize, seed: u64, range_decades: i32) -> Mat<f64> {
+    pub(crate) fn mk(m: usize, n: usize, seed: u64, range_decades: i32) -> Mat<f64> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
         Mat::from_fn(m, n, |_, _| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -478,6 +407,12 @@ mod tests {
             let d = ((state >> 33) as f64 / (1u64 << 31) as f64) / 2.0;
             (u - 1.0) * (10.0f64).powf(d * range_decades as f64)
         })
+    }
+
+    /// The simulated engine on `threads` workers.
+    fn parallel(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig, threads: usize) -> OzakiReport {
+        let backend = OzakiBackend::SimulatedMe(*cfg);
+        ozaki_gemm_with(a, b, &backend, KernelVariant::Scalar, Workers::Threads(threads))
     }
 
     #[test]
@@ -534,20 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_is_correctly_rounded_quality() {
-        let a = mk(6, 9, 5, 4);
-        let b = mk(9, 7, 6, 4);
-        let cfg = OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() };
-        let r = ozaki_gemm(&a, &b, &cfg);
-        assert!(r.split_exact, "exact mode must exhaust the residual");
-        assert_eq!(r.products_skipped, 0);
-        let c_ref = reference_gemm(&a, &b);
-        for (x, y) in r.c.as_slice().iter().zip(c_ref.as_slice()) {
-            assert!(ulp_diff(*x, *y) <= 2, "{x} vs {y}: {} ulps", ulp_diff(*x, *y));
-        }
-    }
-
-    #[test]
     fn sgemm_equivalent_is_cheaper_and_coarser() {
         let a = mk(10, 32, 7, 6);
         let b = mk(32, 10, 8, 6);
@@ -583,37 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_reproducibility() {
-        // The paper's feature (1): the result is bit-identical regardless of
-        // how the computation is partitioned. Our implementation is
-        // deterministic by construction; verify repeated runs and a
-        // row-partitioned run agree bitwise.
-        let a = mk(9, 14, 11, 10);
-        let b = mk(14, 9, 12, 10);
-        let cfg = OzakiConfig::dgemm_tc();
-        let r1 = ozaki_gemm(&a, &b, &cfg);
-        let r2 = ozaki_gemm(&a, &b, &cfg);
-        for (x, y) in r1.c.as_slice().iter().zip(r2.c.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Row partition: compute rows 0..4 and 4..9 separately.
-        let a_top = Mat::from_fn(4, 14, |i, j| a[(i, j)]);
-        let a_bot = Mat::from_fn(5, 14, |i, j| a[(i + 4, j)]);
-        let rt = ozaki_gemm(&a_top, &b, &cfg);
-        let rb = ozaki_gemm(&a_bot, &b, &cfg);
-        for i in 0..4 {
-            for j in 0..9 {
-                assert_eq!(rt.c[(i, j)].to_bits(), r1.c[(i, j)].to_bits(), "top ({i},{j})");
-            }
-        }
-        for i in 0..5 {
-            for j in 0..9 {
-                assert_eq!(rb.c[(i, j)].to_bits(), r1.c[(i + 4, j)].to_bits(), "bot ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn dot_and_gemv_front_ends() {
         let x = [1.0, 1e16, -1e16, 3.0];
         let y = [1.0, 1.0, 1.0, 0.5];
@@ -631,102 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_inputs() {
-        let z = Mat::<f64>::zeros(3, 4);
-        let b = mk(4, 2, 15, 2);
-        let r = ozaki_gemm(&z, &b, &OzakiConfig::dgemm_tc());
-        assert_eq!(r.c, Mat::zeros(3, 2));
-        assert_eq!(r.products_computed, 0);
-
+    fn empty_dot_is_zero() {
         let empty = ozaki_dot(&[], &[], &OzakiConfig::dgemm_tc());
         assert_eq!(empty, 0.0);
-    }
-
-    #[test]
-    fn handles_negative_and_mixed_signs() {
-        let a = Mat::from_vec(2, 2, vec![-1.5, 2.25, 0.0, -1e-8]);
-        let b = Mat::from_vec(2, 2, vec![4.0, -0.5, 1e8, 2.0]);
-        let cfg = OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() };
-        let r = ozaki_gemm(&a, &b, &cfg);
-        let c_ref = reference_gemm(&a, &b);
-        for (x, y) in r.c.as_slice().iter().zip(c_ref.as_slice()) {
-            assert!(ulp_diff(*x, *y) <= 2, "{x} vs {y}");
-        }
-    }
-}
-
-/// Row-parallel Ozaki GEMM on a persistent [`me_par::WorkerPool`].
-///
-/// Both the per-line slicing and the slice-pair accumulation fan out over
-/// the pool: the splits run one line per job, and the accumulator grid is
-/// divided into disjoint row panels, each folded by the same serial core
-/// ([`ozaki_gemm`] shares it). Because the per-element accumulation order
-/// is independent of the row partition, the result is **bitwise identical**
-/// to the serial path for any thread count — the reproducibility property
-/// the paper highlights, demonstrated under real parallel execution (see
-/// `parallel_is_bit_identical`). Unlike the old row-stitching front, the
-/// report's counters are exact (not summed per panel).
-///
-/// `threads == 0` resolves through [`me_par::resolve_threads`] (the
-/// `ME_THREADS` knob, then the OS).
-pub fn ozaki_gemm_parallel(
-    a: &Mat<f64>,
-    b: &Mat<f64>,
-    cfg: &OzakiConfig,
-    threads: usize,
-) -> OzakiReport {
-    assert_eq!(a.cols(), b.rows(), "ozaki_gemm_parallel: inner dimension mismatch");
-    let m = a.rows();
-    let nthreads = me_par::resolve_threads(threads).min(m.max(1));
-    if nthreads <= 1 || m < 2 {
-        return ozaki_gemm(a, b, cfg);
-    }
-    if nthreads == me_par::global().threads() {
-        ozaki_gemm_parallel_on(a, b, cfg, me_par::global())
-    } else {
-        let pool = me_par::WorkerPool::new(nthreads);
-        ozaki_gemm_parallel_on(a, b, cfg, &pool)
-    }
-}
-
-/// [`ozaki_gemm_parallel`] on a caller-supplied pool (the scaling benches
-/// sweep pool widths explicitly).
-pub fn ozaki_gemm_parallel_on(
-    a: &Mat<f64>,
-    b: &Mat<f64>,
-    cfg: &OzakiConfig,
-    pool: &me_par::WorkerPool,
-) -> OzakiReport {
-    ozaki_gemm_impl(a, b, cfg, Some(pool))
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    fn mk(m: usize, n: usize, seed: u64, range_decades: i32) -> Mat<f64> {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        Mat::from_fn(m, n, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let u = (state >> 33) as f64 / (1u64 << 31) as f64;
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let d = ((state >> 33) as f64 / (1u64 << 31) as f64) / 2.0;
-            (u - 1.0) * (10.0f64).powf(d * range_decades as f64)
-        })
-    }
-
-    #[test]
-    fn parallel_is_bit_identical() {
-        let a = mk(23, 17, 1, 9);
-        let b = mk(17, 11, 2, 9);
-        let cfg = OzakiConfig::dgemm_tc();
-        let serial = ozaki_gemm(&a, &b, &cfg);
-        for threads in [2, 3, 5, 8] {
-            let par = ozaki_gemm_parallel(&a, &b, &cfg, threads);
-            for (x, y) in serial.c.as_slice().iter().zip(par.c.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -735,7 +532,7 @@ mod parallel_tests {
         let b = mk(4, 4, 4, 2);
         let cfg = OzakiConfig::sgemm_tc();
         let s = ozaki_gemm(&a, &b, &cfg);
-        let p = ozaki_gemm_parallel(&a, &b, &cfg, 1);
+        let p = parallel(&a, &b, &cfg, 1);
         assert_eq!(s.c, p.c);
         assert_eq!(s.products_computed, p.products_computed);
     }
@@ -746,29 +543,9 @@ mod parallel_tests {
         let b = mk(6, 3, 6, 4);
         let cfg = OzakiConfig::dgemm_tc();
         let s = ozaki_gemm(&a, &b, &cfg);
-        let p = ozaki_gemm_parallel(&a, &b, &cfg, 64);
+        let p = parallel(&a, &b, &cfg, 64);
         for (x, y) in s.c.as_slice().iter().zip(p.c.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_counters_match_serial() {
-        // Regression for the old row-stitching front, which summed each
-        // panel's products_computed (one engine-call count per panel) and
-        // so over-reported the Table VIII cost.
-        let a = mk(23, 17, 1, 9);
-        let b = mk(17, 11, 2, 9);
-        let cfg = OzakiConfig::dgemm_tc();
-        let s = ozaki_gemm(&a, &b, &cfg);
-        for threads in [2, 3, 8] {
-            let p = ozaki_gemm_parallel(&a, &b, &cfg, threads);
-            assert_eq!(p.products_computed, s.products_computed, "threads={threads}");
-            assert_eq!(p.products_skipped, s.products_skipped, "threads={threads}");
-            assert_eq!(p.s_a, s.s_a);
-            assert_eq!(p.s_b, s.s_b);
-            assert_eq!(p.beta, s.beta);
-            assert_eq!(p.split_exact, s.split_exact);
         }
     }
 
@@ -785,10 +562,9 @@ mod parallel_tests {
         for cfg in [OzakiConfig::dgemm_tc(), OzakiConfig::sgemm_tc()] {
             let mut counts = Vec::new();
             for threads in [1usize, 2, 3, 5] {
-                let r = ozaki_gemm_parallel(&a, &b, &cfg, threads);
+                let r = parallel(&a, &b, &cfg, threads);
                 let (_, cutoff) = cfg.budget_and_cutoff(a.cols(), r.beta);
-                let analytic: usize =
-                    (0..r.s_a).map(|p| r.s_b.min(cutoff.saturating_sub(p))).sum();
+                let analytic: usize = (0..r.s_a).map(|p| r.s_b.min(cutoff.saturating_sub(p))).sum();
                 assert_eq!(
                     r.products_computed, analytic,
                     "threads={threads}: counter must match the closed form"
@@ -811,9 +587,22 @@ mod parallel_tests {
         let cfg = OzakiConfig::dgemm_tc();
         let s = ozaki_gemm(&a, &b, &cfg);
         let pool = me_par::WorkerPool::new(4);
-        let p = ozaki_gemm_parallel_on(&a, &b, &cfg, &pool);
+        let backend = OzakiBackend::SimulatedMe(cfg);
+        let p = ozaki_gemm_with(&a, &b, &backend, KernelVariant::Scalar, Workers::Pool(&pool));
         for (x, y) in s.c.as_slice().iter().zip(p.c.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn handles_negative_and_mixed_signs() {
+        let a = Mat::from_vec(2, 2, vec![-1.5, 2.25, 0.0, -1e-8]);
+        let b = Mat::from_vec(2, 2, vec![4.0, -0.5, 1e8, 2.0]);
+        let cfg = OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() };
+        let r = ozaki_gemm(&a, &b, &cfg);
+        let c_ref = reference_gemm(&a, &b);
+        for (x, y) in r.c.as_slice().iter().zip(c_ref.as_slice()) {
+            assert!(ulp_diff(*x, *y) <= 2, "{x} vs {y}");
         }
     }
 }

@@ -13,51 +13,55 @@
 //!    symmetrically. `β` is chosen so that a `k`-long dot product of two
 //!    `β`-bit integer slices stays below the accumulator's mantissa capacity
 //!    (`2β + ⌈log₂k⌉ ≤ 24` for f16-multiply/f32-accumulate Tensor Cores).
-//! 2. Slice pairs are multiplied on the (simulated) matrix engine — in this
-//!    reproduction the inner GEMM genuinely runs in `f32` arithmetic on
-//!    integer-valued matrices, which is bit-exact for the same reason the
-//!    hardware is.
+//! 2. Slice pairs are multiplied on a low-precision engine. Each slice is
+//!    packed once into the engine's element type, and every engine call
+//!    (one slice pair × one `k_block` chunk) is exact because β keeps the
+//!    chunk sum inside the engine's accumulator.
 //! 3. The exact partial products are scaled back by powers of two (integer
 //!    exponent bookkeeping) and accumulated in a deterministic double-double
 //!    accumulator, giving **bitwise-reproducible** results independent of
 //!    slice or thread order — feature (1) the paper highlights.
 //!
+//! Steps 1–3 are written once ([`gemm`]). A substrate is a `SliceEngine`
+//! ([`engine`]) that supplies only the slice element type, its exact
+//! narrowing, its multiply/accumulate widths, the chunk call and its trace
+//! names: the simulated f16/f32 Tensor Core, the host f16 widening
+//! kernels, the host INT8 kernels (Uchino & Ozaki 2025) and the systolic
+//! array simulator. One [`OzakiConfig`] configures all of them, and
+//! `OzakiConfig::schedule` is the one place β, the slice budget and the
+//! pair cutoff are decided, with the config's precisions clamped to the
+//! engine's formats. The entry points:
+//!
+//! - [`ozaki_gemm`]: the simulated engine, serial;
+//! - [`ozaki_gemm_backend`]: any [`OzakiBackend`], serial, on the
+//!   process-selected kernel variant;
+//! - [`ozaki_gemm_with`]: any backend on a pinned kernel variant and a
+//!   thread count or pool ([`Workers`]), bitwise equal to the serial run;
+//! - [`ozaki_gemm_systolic`]: the systolic array, with its cycle counts.
+//!
 //! The number of slices depends on the *dynamic range* of the input (the
 //! paper's Table VIII degrades from 1e+8 to 1e+32 input ranges); the
-//! [`perf`] module projects the resulting throughput/power on the simulated
-//! V100, regenerating Table VIII.
+//! [`perf`] module projects the resulting throughput/power per substrate,
+//! regenerating Table VIII.
 
 pub mod backend;
 pub mod bounds;
 pub mod energy;
-pub mod engine_exec;
+pub mod engine;
 pub mod gemm;
-pub mod host_f16;
-pub mod int8;
 pub mod perf;
 pub mod split;
 
-pub use backend::{ozaki_gemm_backend, ozaki_gemm_backend_parallel, OzakiBackend};
+pub use backend::{ozaki_gemm_backend, ozaki_gemm_with, OzakiBackend, Workers};
 pub use bounds::{plan, truncation_bound, SplitPlan};
 pub use energy::{
     emit_energy_counters, host_f16_vs_me_vs_int8_rows, int8_vs_f16_rows, EnergyRow,
 };
-pub use engine_exec::{ozaki_gemm_systolic, EngineOzakiResult};
+pub use engine::{ozaki_gemm_systolic, EngineOzakiResult};
 pub use gemm::{
-    ozaki_dot, ozaki_gemm, ozaki_gemm_parallel, ozaki_gemm_parallel_on, ozaki_gemv, OzakiConfig,
-    OzakiReport, TargetAccuracy,
+    ozaki_dot, ozaki_gemm, ozaki_gemv, OzakiConfig, OzakiReport, Schedule, TargetAccuracy,
 };
-pub use host_f16::{
-    ozaki_gemm_host_f16, ozaki_gemm_host_f16_parallel, ozaki_gemm_host_f16_parallel_on,
-    ozaki_gemm_host_f16_parallel_with, ozaki_gemm_host_f16_with, HostF16Engine, HostF16OzakiReport,
-};
-pub use int8::{
-    ozaki_gemm_int8, ozaki_gemm_int8_parallel, ozaki_gemm_int8_parallel_on,
-    ozaki_gemm_int8_parallel_with, ozaki_gemm_int8_with, Int8Engine, Int8OzakiReport,
-};
-pub use perf::{
-    project_emulated_host_f16, project_emulated_int8, table8_rows, EmulatedGemmPerf, Table8Row,
-};
+pub use perf::{project_emulated, table8_rows, EmulatedGemmPerf, Table8Row};
 pub use split::{
     required_beta, split_cols, split_cols_parallel, split_rows, split_rows_parallel, SplitMatrix,
 };

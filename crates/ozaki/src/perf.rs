@@ -11,6 +11,7 @@
 //!   needs, then charge each product as one f16 Tensor-Core GEMM plus the
 //!   f64 split/scale/sum overhead on the CUDA cores.
 
+use crate::backend::OzakiBackend;
 use crate::gemm::OzakiConfig;
 use me_engine::{catalog, EngineKind, ExecutionModel, GemmShape, NumericFormat};
 use me_linalg::Mat;
@@ -66,88 +67,28 @@ pub fn ranged_matrix(m: usize, n: usize, decades: f64, seed: u64) -> Mat<f64> {
 /// Project the full-size (n×n×n) cost of an emulated GEMM whose slice
 /// behaviour was measured on a small sample with the same dynamic range.
 ///
-/// The slice count scales from the sample because the bits the target needs
-/// are range- and k-dependent, not n-dependent: we measure `bits =
-/// slices·β_sample` on the sample and re-derive the slice count at the full
-/// problem's β (β shrinks as k grows, per [`crate::split::required_beta`]).
+/// Each substrate keeps its device and engine format: the simulated
+/// Tensor Core on the V100's f16/f32 matrix engine (Table VIII); INT8 on
+/// the A100's INT8 Tensor Cores — the device the energy comparison
+/// ([`crate::energy`]) runs both engine substrates on; host f16 on the
+/// f32 SIMD peak of an AVX-512 Xeon Gold 6148 (Table VI System 2), since
+/// the widening kernels run f32 FMAs on the vector units with no matrix
+/// engine in the loop.
 pub fn project_emulated(
     n: usize,
     decades: f64,
-    cfg: &OzakiConfig,
+    backend: &OzakiBackend,
     sample_n: usize,
     seed: u64,
 ) -> EmulatedGemmPerf {
-    let kb = cfg.k_block.max(1).min(sample_n);
-    let beta_sample = crate::split::required_beta(kb, cfg.acc_precision, cfg.mul_precision);
-    let kb_full = cfg.k_block.max(1).min(n);
-    let beta_full = crate::split::required_beta(kb_full, cfg.acc_precision, cfg.mul_precision);
-    let t_bits = match cfg.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
+    use EngineKind::{MatrixEngine, Simd};
+    let (device, kind, fmt) = match backend {
+        OzakiBackend::SimulatedMe(_) => (catalog::v100(), MatrixEngine, NumericFormat::F16xF32),
+        OzakiBackend::HostInt8(_) => (catalog::a100(), MatrixEngine, NumericFormat::I8),
+        OzakiBackend::HostF16(_) => (catalog::xeon_gold_6148(), Simd, NumericFormat::F32),
     };
-    let (slices, products) =
-        schedule_from_sample(decades, sample_n, seed, beta_sample, beta_full, t_bits);
-    let model = ExecutionModel::new(catalog::v100());
-    charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::F16xF32, n, slices, products)
-}
-
-/// [`project_emulated`] for the INT8 engine: identical schedule
-/// derivation (β from [`crate::int8::Int8Engine::slice_bits`], so 6-bit
-/// slices instead of f16's 7+), with the slice products charged on the
-/// A100's INT8 Tensor-Core peak — the device the energy comparison
-/// ([`crate::energy`]) runs both substrates on.
-pub fn project_emulated_int8(
-    n: usize,
-    decades: f64,
-    engine: &crate::int8::Int8Engine,
-    sample_n: usize,
-    seed: u64,
-) -> EmulatedGemmPerf {
-    let t_bits = match engine.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
-    };
-    let (slices, products) = schedule_from_sample(
-        decades,
-        sample_n,
-        seed,
-        engine.slice_bits(sample_n),
-        engine.slice_bits(n),
-        t_bits,
-    );
-    let model = ExecutionModel::new(catalog::a100());
-    charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::I8, n, slices, products)
-}
-
-/// [`project_emulated`] for the host-f16 substrate
-/// ([`crate::host_f16`]): identical schedule derivation (β from
-/// [`crate::host_f16::HostF16Engine::beta`], the same
-/// `required_beta(k_block, 24, 11)` the Tensor-Core model uses), with
-/// the slice products charged on an AVX-512 host CPU's f32 SIMD peak —
-/// the widening-pack kernels run f32 FMAs on the vector units, there is
-/// no matrix engine in the loop. The Xeon Gold 6148 (Table VI System 2)
-/// is the charged host.
-pub fn project_emulated_host_f16(
-    n: usize,
-    decades: f64,
-    engine: &crate::host_f16::HostF16Engine,
-    sample_n: usize,
-    seed: u64,
-) -> EmulatedGemmPerf {
-    let t_bits = match engine.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
-    };
-    let (slices, products) = schedule_from_sample(
-        decades,
-        sample_n,
-        seed,
-        engine.beta(sample_n),
-        engine.beta(n),
-        t_bits,
-    );
-    let model = ExecutionModel::new(catalog::xeon_gold_6148());
-    charge_emulated(&model, EngineKind::Simd, NumericFormat::F32, n, slices, products)
+    let (slices, products) = schedule_from_sample(backend, n, decades, sample_n, seed);
+    charge_emulated(&ExecutionModel::new(device), kind, fmt, n, slices, products)
 }
 
 /// Measure the input's exponent spread with the real splitter and derive
@@ -162,14 +103,22 @@ pub fn project_emulated_host_f16(
 /// 1e+8 to 1e+32 inputs). The target needs the fraction `t_bits/53` of
 /// that information; wider ranges spread it over more slices,
 /// proportionally for every target.
+///
+/// The slice count scales from the sample because the bits the target
+/// needs are range- and k-dependent, not n-dependent: `bits =
+/// slices·β_sample` is measured on the sample and the slice count
+/// re-derived at the full problem's β (β shrinks as k grows), both from
+/// the backend's [`OzakiBackend::schedule`].
 pub(crate) fn schedule_from_sample(
+    backend: &OzakiBackend,
+    n: usize,
     decades: f64,
     sample_n: usize,
     seed: u64,
-    beta_sample: u32,
-    beta_full: u32,
-    t_bits: f64,
 ) -> (usize, usize) {
+    let beta_sample = backend.schedule(sample_n).beta;
+    let beta_full = backend.schedule(n).beta;
+    let t_bits = f64::from(backend.config().target.precision());
     let a = ranged_matrix(sample_n, sample_n, decades, seed);
     let exact = crate::split::split_rows(&a, beta_sample, 512);
     let bits_total = exact.len() as f64 * beta_sample as f64; // ≈ 53 + φ
@@ -275,7 +224,8 @@ pub fn table8_rows() -> Vec<Table8Row> {
     for (cfg, name) in [(OzakiConfig::sgemm_tc(), "SGEMM-TC"), (OzakiConfig::dgemm_tc(), "DGEMM-TC")]
     {
         for (decades, label) in [(8.0, "input range: 1e+8"), (16.0, "input range: 1e+16"), (32.0, "input range: 1e+32")] {
-            let p = project_emulated(n, decades, &cfg, 48, 0x5eed + decades as u64);
+            let backend = OzakiBackend::SimulatedMe(cfg);
+            let p = project_emulated(n, decades, &backend, 48, 0x5eed + decades as u64);
             rows.push(Table8Row {
                 implementation: name.into(),
                 condition: label.into(),
@@ -343,7 +293,7 @@ mod tests {
 
     #[test]
     fn projection_internals_consistent() {
-        let p = project_emulated(8192, 8.0, &OzakiConfig::dgemm_tc(), 32, 7);
+        let p = project_emulated(8192, 8.0, &OzakiBackend::dgemm_tc(), 32, 7);
         assert!(p.slices >= 10, "DGEMM-TC at 1e8 needs >= 10 slices, got {}", p.slices);
         assert!(p.products > p.slices);
         assert!((p.engine_time_s + p.overhead_time_s - p.total_time_s).abs() < 1e-12);

@@ -8,17 +8,18 @@
 //!    bitwise for every nonzero entry (zeros collapse to +0.0 because
 //!    the reconstruction sums `-0.0 + 0.0`, which IEEE defines as +0.0).
 //! 2. **i8-safe**: every slice integer `v · 2^(β − e)` is an integer of
-//!    magnitude ≤ 2^β; at the Int8Engine's β ≤ 6 cap it fits an `i8`
+//!    magnitude ≤ 2^β; at the INT8 engine's β ≤ 6 cap it fits an `i8`
 //!    even on the round-to-nearest edge that produces exactly ±2^β —
-//!    which is why `slice_bits` caps at 6 and not 7.
+//!    which is why the INT8 schedule caps β at 6 and not 7.
 //! 3. **Correctly-rounded dot**: the Exact-target INT8 path matches a
 //!    correctly rounded reference dot (f64 expansion arithmetic via
 //!    two_prod/two_sum, summed without error and rounded once).
 
 use me_numerics::eft::{two_prod, two_sum};
 use me_numerics::Rng64;
-use me_ozaki::int8::Int8Engine;
-use me_ozaki::{ozaki_gemm_int8, split_cols, split_rows, TargetAccuracy};
+use me_ozaki::{
+    ozaki_gemm_backend, split_cols, split_rows, OzakiBackend, OzakiConfig, TargetAccuracy,
+};
 use me_linalg::Mat;
 
 /// Draw one entry: moderate values salted with the special values the
@@ -111,7 +112,7 @@ fn slice_integers_bounded_by_two_pow_beta() {
 /// Claim 2's edge: round-to-nearest extraction of `1 − 2^-53` (the value
 /// closest to the binade top) emits the slice integer exactly ±2^β. At
 /// β = 6 that is ±64 — inside i8 — and the full INT8 GEMM runs through
-/// it; β = 7 would need ±128, which is why `slice_bits` caps at 6.
+/// it; β = 7 would need ±128, which is why the INT8 schedule caps β at 6.
 #[test]
 fn round_to_nearest_edge_hits_exactly_two_pow_beta() {
     let top = 1.0 - 2f64.powi(-53);
@@ -123,22 +124,26 @@ fn round_to_nearest_edge_hits_exactly_two_pow_beta() {
 
     // The full INT8 path (which packs these integers into i8) survives it.
     let b = Mat::from_fn(2, 1, |_, _| top);
-    let engine = Int8Engine::default();
-    let r = ozaki_gemm_int8(&a, &b, &engine);
+    let engine = OzakiBackend::host_int8();
+    let r = ozaki_gemm_backend(&a, &b, &engine);
     assert_eq!(r.beta, 6);
     let want = top * top - top * top; // top·top + (−top)·top = 0 exactly
     assert_eq!(r.c[(0, 0)], want);
 }
 
-/// `slice_bits` never exceeds the i8 cap for any (acc_bits, k_block, k):
+/// The INT8 β never exceeds the i8 cap for any (acc_bits, k_block, k):
 /// the property behind claim 2's "fits i8" guarantee.
 #[test]
 fn slice_bits_capped_at_six_everywhere() {
     for acc_bits in [2u32, 8, 16, 24, 31, 64] {
         for k_block in [1usize, 2, 17, 256, 4096, 1 << 20] {
             for k in [1usize, 7, 256, 100_000] {
-                let e = Int8Engine { acc_bits, k_block, ..Int8Engine::default() };
-                let beta = e.slice_bits(k);
+                let e = OzakiBackend::HostInt8(OzakiConfig {
+                    acc_precision: acc_bits,
+                    k_block,
+                    ..OzakiConfig::default()
+                });
+                let beta = e.schedule(k).beta;
                 assert!(
                     (1..=6).contains(&beta),
                     "acc={acc_bits} kb={k_block} k={k}: beta {beta}"
@@ -191,7 +196,10 @@ fn reference_dot(a: &[f64], b: &[f64]) -> f64 {
 /// recombination introduce no error at all.
 #[test]
 fn exact_target_int8_dot_is_correctly_rounded() {
-    let engine = Int8Engine { target: TargetAccuracy::Exact, ..Int8Engine::default() };
+    let engine = OzakiBackend::HostInt8(OzakiConfig {
+        target: TargetAccuracy::Exact,
+        ..OzakiConfig::default()
+    });
     for seed in [21u64, 22, 23, 24] {
         let mut rng = Rng64::seed_from_u64(seed);
         let k = 40;
@@ -205,7 +213,7 @@ fn exact_target_int8_dot_is_correctly_rounded() {
         let bv: Vec<f64> = (0..k).map(|_| gen(&mut rng)).collect();
         let a = Mat::from_fn(1, k, |_, j| av[j]);
         let b = Mat::from_fn(k, 1, |i, _| bv[i]);
-        let r = ozaki_gemm_int8(&a, &b, &engine);
+        let r = ozaki_gemm_backend(&a, &b, &engine);
         assert!(r.split_exact, "seed {seed}: Exact target must exhaust the residual");
         let want = reference_dot(&av, &bv);
         assert!(

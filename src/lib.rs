@@ -59,8 +59,8 @@ pub mod prelude {
     pub use me_model::{MachineMix, MeSpeedup};
     pub use me_numerics::{Bf16, FloatFormat, Tf32, F16};
     pub use me_ozaki::{
-        ozaki_gemm, ozaki_gemm_backend, ozaki_gemm_int8, ozaki_gemm_parallel, Int8Engine,
-        OzakiBackend, OzakiConfig, TargetAccuracy,
+        ozaki_gemm, ozaki_gemm_backend, ozaki_gemm_with, OzakiBackend, OzakiConfig,
+        TargetAccuracy, Workers,
     };
     pub use me_profiler::{Profiler, RegionClass};
     pub use me_serve::{Job, Outcome, Scheduler, ServeConfig};

@@ -21,10 +21,7 @@
 
 use matrix_engines::linalg::{available_variants, KernelVariant, Mat};
 use matrix_engines::ozaki::gemm::reference_gemm;
-use matrix_engines::ozaki::int8::{
-    ozaki_gemm_int8_parallel_with, ozaki_gemm_int8_with, Int8Engine,
-};
-use matrix_engines::ozaki::TargetAccuracy;
+use matrix_engines::ozaki::{ozaki_gemm_with, OzakiBackend, OzakiConfig, TargetAccuracy, Workers};
 use me_numerics::Rng64;
 
 const MR: usize = me_linalg::blas3::MR;
@@ -94,11 +91,11 @@ fn assert_accurate(label: &str, c: &Mat<f64>, c_ref: &Mat<f64>, a: &Mat<f64>, b:
 
 /// The slice configurations cycled across the grid, with the accuracy
 /// envelope tolerance each one must meet.
-fn configs() -> [(Int8Engine, f64, &'static str); 3] {
+fn configs() -> [(OzakiBackend, f64, &'static str); 3] {
     [
-        (Int8Engine::default(), 1e-14, "dgemm"),
-        (Int8Engine { k_block: 32, ..Int8Engine::default() }, 1e-14, "dgemm-kb32"),
-        (Int8Engine::sgemm_equivalent(), 1e-6, "sgemm"),
+        (OzakiBackend::host_int8(), 1e-14, "dgemm"),
+        (OzakiBackend::HostInt8(OzakiConfig { k_block: 32, ..OzakiConfig::default() }), 1e-14, "dgemm-kb32"),
+        (OzakiBackend::HostInt8(OzakiConfig::sgemm_tc()), 1e-6, "sgemm"),
     ]
 }
 
@@ -117,7 +114,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
     let variants = available_variants();
     let cfgs = configs();
     let truncated = (
-        Int8Engine { max_slices: 2, ..Int8Engine::sgemm_equivalent() },
+        OzakiBackend::HostInt8(OzakiConfig { max_slices: 2, ..OzakiConfig::sgemm_tc() }),
         5e-3,
         "sgemm-trunc2",
     );
@@ -140,7 +137,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                 let a = gen_mat(&mut rng, m, k);
                 let b = gen_mat(&mut rng, k, n);
 
-                let r_ref = ozaki_gemm_int8_with(&a, &b, engine, KernelVariant::Scalar);
+                let r_ref = ozaki_gemm_with(&a, &b, engine, KernelVariant::Scalar, Workers::Threads(1));
                 let c_f64 = reference_gemm(&a, &b);
                 assert_accurate(
                     &format!("{cname} m={m} k={k} n={n}"),
@@ -154,14 +151,14 @@ fn int8_grid_variants_bitwise_and_accurate() {
                 if vol <= 5_000 {
                     // Small: every variant, serial + cycled-thread parallel.
                     for &v in &variants {
-                        let r = ozaki_gemm_int8_with(&a, &b, engine, v);
+                        let r = ozaki_gemm_with(&a, &b, engine, v, Workers::Threads(1));
                         assert_bitwise(
                             &format!("{cname} {v} serial m={m} k={k} n={n}"),
                             &r.c,
                             &r_ref.c,
                         );
                         assert_eq!(r.engine_calls, r_ref.engine_calls, "{v} schedule drifted");
-                        let rp = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, threads);
+                        let rp = ozaki_gemm_with(&a, &b, engine, v, Workers::Threads(threads));
                         assert_bitwise(
                             &format!("{cname} {v} parallel(t={threads}) m={m} k={k} n={n}"),
                             &rp.c,
@@ -172,7 +169,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                     // Large: one cycled non-scalar variant serial; parallel
                     // on every other shape.
                     let v = variants[cycle % variants.len()];
-                    let r = ozaki_gemm_int8_with(&a, &b, engine, v);
+                    let r = ozaki_gemm_with(&a, &b, engine, v, Workers::Threads(1));
                     assert_bitwise(
                         &format!("{cname} {v} serial m={m} k={k} n={n}"),
                         &r.c,
@@ -180,7 +177,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                     );
                     assert_eq!(r.engine_calls, r_ref.engine_calls, "{v} schedule drifted");
                     if cycle % 2 == 0 {
-                        let rp = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, threads);
+                        let rp = ozaki_gemm_with(&a, &b, engine, v, Workers::Threads(threads));
                         assert_bitwise(
                             &format!("{cname} {v} parallel(t={threads}) m={m} k={k} n={n}"),
                             &rp.c,
@@ -205,10 +202,10 @@ fn int8_full_cross_on_focused_shapes() {
         let a = gen_mat(&mut rng, m, k);
         let b = gen_mat(&mut rng, k, n);
         for (engine, _, cname) in &configs() {
-            let r_ref = ozaki_gemm_int8_with(&a, &b, engine, KernelVariant::Scalar);
+            let r_ref = ozaki_gemm_with(&a, &b, engine, KernelVariant::Scalar, Workers::Threads(1));
             for &v in &variants {
                 for &t in &THREADS {
-                    let r = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, t);
+                    let r = ozaki_gemm_with(&a, &b, engine, v, Workers::Threads(t));
                     assert_bitwise(
                         &format!("{cname} {v} t={t} m={m} k={k} n={n}"),
                         &r.c,
@@ -225,7 +222,8 @@ fn int8_full_cross_on_focused_shapes() {
 /// elementwise (the double-double recombination's worst case).
 #[test]
 fn int8_exact_target_on_small_shapes() {
-    let engine = Int8Engine { target: TargetAccuracy::Exact, ..Int8Engine::default() };
+    let engine =
+        OzakiBackend::HostInt8(OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() });
     let small: Vec<usize> = DIMS.iter().copied().filter(|&d| d <= NR + 1).collect();
     for &m in &small {
         for &k in &small {
@@ -234,7 +232,7 @@ fn int8_exact_target_on_small_shapes() {
                 let mut rng = Rng64::seed_from_u64(seed);
                 let a = gen_mat(&mut rng, m, k);
                 let b = gen_mat(&mut rng, k, n);
-                let r = ozaki_gemm_int8_with(&a, &b, &engine, KernelVariant::Scalar);
+                let r = ozaki_gemm_with(&a, &b, &engine, KernelVariant::Scalar, Workers::Threads(1));
                 assert!(r.split_exact, "m={m} k={k} n={n}: exact split must terminate");
                 let c_ref = reference_gemm(&a, &b);
                 for i in 0..m {

@@ -326,12 +326,12 @@ fn golden_table8_ozaki() {
 /// strictly faster.
 #[test]
 fn int8_matches_f16_emulation_at_equal_slice_count() {
-    use matrix_engines::ozaki::int8::{ozaki_gemm_int8, Int8Engine};
+    use matrix_engines::ozaki::{ozaki_gemm_backend, OzakiBackend};
     let a = Mat::from_fn(20, 24, |i, j| ((i * 7 + j * 3) as f64).sin() * 100.0);
     let b = Mat::from_fn(24, 16, |i, j| ((i + j * 5) as f64).cos());
-    let engine = Int8Engine::default();
+    let engine = OzakiBackend::host_int8();
     let cfg6 = OzakiConfig { mul_precision: 6, ..OzakiConfig::dgemm_tc() };
-    let ri = ozaki_gemm_int8(&a, &b, &engine);
+    let ri = ozaki_gemm_backend(&a, &b, &engine);
     let rf = ozaki_gemm(&a, &b, &cfg6);
     assert_eq!(ri.beta, 6);
     assert_eq!(ri.beta, rf.beta);
@@ -347,8 +347,7 @@ fn int8_matches_f16_emulation_at_equal_slice_count() {
 /// FP16-vs-INT8 substrate ordering from the energy model.
 #[test]
 fn golden_int8_ozaki() {
-    use matrix_engines::ozaki::int8::{ozaki_gemm_int8, Int8Engine};
-    use matrix_engines::ozaki::{int8_vs_f16_rows, project_emulated_int8};
+    use matrix_engines::ozaki::{int8_vs_f16_rows, ozaki_gemm_backend, project_emulated, OzakiBackend};
     use matrix_engines::ozaki::gemm::reference_gemm;
     let a = Mat::from_fn(20, 24, |i, j| ((i * 7 + j * 3) as f64).sin() * 100.0);
     let b = Mat::from_fn(24, 16, |i, j| ((i + j * 5) as f64).cos());
@@ -356,7 +355,7 @@ fn golden_int8_ozaki() {
 
     // DGEMM-equivalent INT8 emulation is exact to the f64 reference on
     // this fixture — the same pin the f16 path holds.
-    let dg = ozaki_gemm_int8(&a, &b, &Int8Engine::default());
+    let dg = ozaki_gemm_backend(&a, &b, &OzakiBackend::host_int8());
     let dg_err = matrix_engines::numerics::max_rel_err(dg.c.as_slice(), c_ref.as_slice());
     assert!(dg_err <= 1e-15, "INT8 DGEMM-equivalent error drifted: {dg_err:e}");
 
@@ -366,7 +365,7 @@ fn golden_int8_ozaki() {
     // different constant), orders of magnitude inside the f32-grade
     // target. The exact meets-or-beats claim is the matched-β bitwise
     // equality in `int8_matches_f16_emulation_at_equal_slice_count`.
-    let sg = ozaki_gemm_int8(&a, &b, &Int8Engine::sgemm_equivalent());
+    let sg = ozaki_gemm_backend(&a, &b, &OzakiBackend::HostInt8(OzakiConfig::sgemm_tc()));
     let sg_err = matrix_engines::numerics::max_rel_err(sg.c.as_slice(), c_ref.as_slice());
     assert!(
         (sg_err / 3.6066e-12 - 1.0).abs() < 1e-3,
@@ -383,7 +382,7 @@ fn golden_int8_ozaki() {
     // Projected INT8 emulated-DGEMM throughput on the A100 at the
     // Table VIII operating point (n=8192, 1e+16 range): 13 slices of
     // β = 6, 103 scheduled products, 2.77 effective Tflop/s.
-    let p = project_emulated_int8(8192, 16.0, &Int8Engine::default(), 48, 0x5eed + 16);
+    let p = project_emulated(8192, 16.0, &OzakiBackend::host_int8(), 48, 0x5eed + 16);
     assert_eq!((p.slices, p.products), (13, 103), "INT8 schedule drifted");
     assert!(
         (p.effective_tflops - 2.7698).abs() < 5e-4,
@@ -396,20 +395,20 @@ fn golden_int8_ozaki() {
 /// widening kernels (this is the arm the paper could only model — here
 /// it actually runs). DGEMM-grade accuracy, and bitwise equality with
 /// the simulated Tensor-Core engine at the default matched β, with no
-/// configuration fudge: `HostF16Engine::default()` and
+/// configuration fudge: `OzakiBackend::host_f16()` and
 /// `OzakiConfig::dgemm_tc()` share β = required_beta(256, 24, 11) by
 /// construction.
 #[test]
 fn host_f16_emulation_matches_simulated_me() {
     use matrix_engines::ozaki::gemm::reference_gemm;
-    use matrix_engines::ozaki::host_f16::{ozaki_gemm_host_f16, HostF16Engine};
+    use matrix_engines::ozaki::{ozaki_gemm_backend, OzakiBackend};
     let a = Mat::from_fn(20, 24, |i, j| ((i * 7 + j * 3) as f64).sin() * 100.0);
     let b = Mat::from_fn(24, 16, |i, j| ((i + j * 5) as f64).cos());
     let c_ref = reference_gemm(&a, &b);
 
     // Measured host-FP16 Table VIII arm: DGEMM-equivalent accuracy on the
     // accuracy fixture, same pin the simulated engine and INT8 hold.
-    let host = ozaki_gemm_host_f16(&a, &b, &HostF16Engine::default());
+    let host = ozaki_gemm_backend(&a, &b, &OzakiBackend::host_f16());
     let err = matrix_engines::numerics::max_rel_err(host.c.as_slice(), c_ref.as_slice());
     assert!(err <= 1e-15, "host-FP16 DGEMM-equivalent error drifted: {err:e}");
 
@@ -429,8 +428,7 @@ fn host_f16_emulation_matches_simulated_me() {
 /// Table VIII operating point.
 #[test]
 fn golden_host_f16_energy_table() {
-    use matrix_engines::ozaki::host_f16::HostF16Engine;
-    use matrix_engines::ozaki::{host_f16_vs_me_vs_int8_rows, project_emulated_host_f16};
+    use matrix_engines::ozaki::{host_f16_vs_me_vs_int8_rows, project_emulated, OzakiBackend};
 
     // Substrate ordering at every Table VIII range: the matrix engine
     // dominates the host SIMD arm it displaced by >10× on effective
@@ -452,7 +450,7 @@ fn golden_host_f16_energy_table() {
     // range): 12 slices of β = 7, 89 scheduled products, 20.6 effective
     // Gflop/s — two orders of magnitude under the modeled engines, which
     // is the quantified price of emulating without a matrix engine.
-    let p = project_emulated_host_f16(8192, 16.0, &HostF16Engine::default(), 48, 0x5eed + 16);
+    let p = project_emulated(8192, 16.0, &OzakiBackend::host_f16(), 48, 0x5eed + 16);
     assert_eq!((p.slices, p.products), (12, 89), "host-FP16 schedule drifted");
     assert!(
         (p.effective_tflops - 0.020602).abs() < 5e-5,

@@ -42,7 +42,8 @@ fn ozaki_through_all_layers() {
     let cfg = OzakiConfig::dgemm_tc();
 
     let plain = ozaki_gemm(&a, &b, &cfg);
-    let parallel = me_ozaki::ozaki_gemm_parallel(&a, &b, &cfg, 4);
+    let kernel = matrix_engines::linalg::selected_kernel();
+    let parallel = ozaki_gemm_with(&a, &b, &OzakiBackend::SimulatedMe(cfg), kernel, Workers::Threads(4));
     let engine = me_ozaki::ozaki_gemm_systolic(&a, &b, &cfg, &SystolicArray::tensor_core());
 
     for ((x, y), z) in plain
