@@ -16,14 +16,15 @@
 #      validates the Chrome JSON in-process (lanes, span names, events)
 #   7. kernel matrix: the cross-variant differential harness plus the
 #      trace-integration suite under every micro-kernel the host can run
-#      (ME_KERNEL=scalar, portable, avx2 when CPUID has avx2+fma, and
+#      (ME_KERNEL=scalar, avx2 when CPUID has avx2+fma, and
 #      avx512 when it has avx512f), proving the dispatch override and
 #      the bitwise-identity contract on each variant independently
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
-#      bit tables + exhaustive 65536-pattern sweeps), the half GEMM
-#      suites and the whole me-ozaki suite (every substrate runs the one
-#      Ozaki pipeline, so no name filter can select just one) at both
-#      test parallelisms, then a
+#      bit tables + exhaustive 65536-pattern sweeps), the whole me-linalg
+#      suite (half operands run the one packed GEMM core, so no name
+#      filter can select just the half tests) and the whole me-ozaki
+#      suite (every substrate runs the one Ozaki pipeline) at both test
+#      parallelisms, then a
 #      gemm_kernels smoke run (enforces the >= 2x-over-scalar gate on
 #      every SIMD variant the host supports and the cross-variant
 #      bitwise check; leaves artifacts/gemm_kernels_ukernel.txt)
@@ -86,7 +87,7 @@ test -s artifacts/parallel_scaling_trace.json
 test -s artifacts/parallel_scaling_metrics.prom
 
 echo "==> kernel matrix (ME_KERNEL x differential + trace suites)"
-KERNELS="scalar portable"
+KERNELS="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     KERNELS="$KERNELS avx2"
 fi
@@ -98,12 +99,12 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration
 done
 
-echo "==> half-precision stage: f16/bf16 codec + GEMM suites, whole me-ozaki suite (both parallelisms)"
+echo "==> half-precision stage: f16/bf16 codec suite, whole me-linalg + me-ozaki suites (both parallelisms)"
 cargo test -q -p me-numerics --test half_formats
-cargo test -q -p me-linalg half
+cargo test -q -p me-linalg
 cargo test -q -p me-ozaki
 RUST_TEST_THREADS=1 cargo test -q -p me-numerics --test half_formats
-RUST_TEST_THREADS=1 cargo test -q -p me-linalg half
+RUST_TEST_THREADS=1 cargo test -q -p me-linalg
 RUST_TEST_THREADS=1 cargo test -q -p me-ozaki
 
 echo "==> half-precision stage: gemm_kernels smoke (release, >= 2x SIMD gate)"

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use me_bench::bench_matrix;
 use me_linalg::blas3::autotune::{ensure_autotuned, read_artifact, SweepConfig};
-use me_linalg::{blocking_for, gemm_tiled_with_blocking, set_blocking_override, Blocking, Mat};
+use me_linalg::{blocking_for, set_blocking_override, Blocking, GemmPlan, Mat};
 
 fn time_blocking(
     variant: me_linalg::KernelVariant,
@@ -34,11 +34,11 @@ fn time_blocking(
     reps: usize,
 ) -> f64 {
     let mut c = Mat::zeros(a.rows(), b.cols());
-    gemm_tiled_with_blocking(variant, blocking, 1.0, a, b, 0.0, &mut c); // warm-up
+    GemmPlan::new(variant).with_blocking(blocking).run(1.0, a, b, 0.0, &mut c); // warm-up
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        gemm_tiled_with_blocking(variant, blocking, 1.0, a, b, 0.0, &mut c);
+        GemmPlan::new(variant).with_blocking(blocking).run(1.0, a, b, 0.0, &mut c);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best

@@ -4,7 +4,7 @@
 //! thread-parallel), plus the LAPACK layer, BLAS-1/2 kernels, and the
 //! micro-kernel variant A/B (`ukernel_variants`).
 //!
-//! `--kernel scalar|portable|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
+//! `--kernel scalar|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
 //! micro-kernel for the whole run, so any group can be A/B'd across
 //! variants; the `ukernel_variants` section always sweeps every variant
 //! the host supports and records the single-thread speedups (the paper's
@@ -16,7 +16,7 @@ use me_bench::criterion_group;
 use me_bench::bench_matrix;
 use me_engine::HostParallelism;
 use me_linalg::{
-    available_variants, avx2_supported, avx512_supported, blas1, blas2, gemm, gemm_tiled_with,
+    available_variants, avx2_supported, avx512_supported, blas1, blas2, gemm, GemmPlan,
     lapack, selected_kernel, set_kernel_override, GemmAlgo, KernelVariant, Mat,
 };
 use std::time::Instant;
@@ -97,7 +97,7 @@ fn bench_ukernel_variants(_c: &mut Criterion) {
     let flops = 2.0 * (n as f64).powi(3);
 
     let mut c_ref = Mat::zeros(n, n);
-    gemm_tiled_with(KernelVariant::Scalar, 1.0, &a, &b, 0.0, &mut c_ref);
+    GemmPlan::new(KernelVariant::Scalar).run(1.0, &a, &b, 0.0, &mut c_ref);
 
     let mut lines = vec![
         format!("# gemm_kernels ukernel A/B: {n}x{n}x{n} f64, single thread"),
@@ -111,7 +111,7 @@ fn bench_ukernel_variants(_c: &mut Criterion) {
         let mut best = f64::INFINITY;
         for _ in 0..=reps {
             let t0 = Instant::now();
-            gemm_tiled_with(v, 1.0, &a, &b, 0.0, &mut c);
+            GemmPlan::new(v).run(1.0, &a, &b, 0.0, &mut c);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         let bitwise = c.as_slice() == c_ref.as_slice();
@@ -175,7 +175,7 @@ fn main() {
                 Some(k) => set_kernel_override(Some(k)),
                 None => {
                     eprintln!(
-                        "gemm_kernels: unknown --kernel {v:?} (want scalar|portable|avx2|avx512)"
+                        "gemm_kernels: unknown --kernel {v:?} (want scalar|avx2|avx512)"
                     );
                     std::process::exit(2);
                 }

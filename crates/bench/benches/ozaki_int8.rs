@@ -4,7 +4,7 @@
 //! and the analytic FP16-vs-INT8 energy table — written to
 //! `artifacts/ozaki_int8.txt` with the accuracy gate asserted in-bench.
 //!
-//! `--kernel scalar|portable|avx2` (or `ME_KERNEL`) pins the dispatched
+//! `--kernel scalar|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
 //! micro-kernel for the criterion groups; the gated A/B section always
 //! sweeps every variant the host supports. `ME_BENCH_SMOKE` shrinks
 //! sizes for CI.
@@ -201,7 +201,7 @@ fn main() {
             match KernelVariant::parse(&v) {
                 Some(k) => set_kernel_override(Some(k)),
                 None => {
-                    eprintln!("ozaki_int8: unknown --kernel {v:?} (want scalar|portable|avx2)");
+                    eprintln!("ozaki_int8: unknown --kernel {v:?} (want scalar|avx2|avx512)");
                     std::process::exit(2);
                 }
             }

@@ -20,14 +20,14 @@
 //! structurally validated in-process — CI fails if the emitted JSON does
 //! not load or the expected lanes/spans are missing.
 
-//! `--kernel scalar|portable|avx2` pins the GEMM micro-kernel variant for
+//! `--kernel scalar|avx2|avx512` pins the GEMM micro-kernel variant for
 //! the whole sweep (otherwise `ME_KERNEL` / CPUID dispatch decides); the
 //! active variant is printed up front and rides into the worker-lane spans
 //! and `ukernel.<variant>` trace counters.
 
 use me_bench::bench_matrix;
 use me_engine::{catalog, EngineKind, ExecutionModel, GemmShape, HostParallelism, NumericFormat, PowerSampler};
-use me_linalg::{gemm_parallel_on, gemm_tiled, selected_kernel, set_kernel_override, KernelVariant, Mat};
+use me_linalg::{gemm, selected_kernel, set_kernel_override, GemmAlgo, GemmPlan, KernelVariant, Mat};
 use me_numerics::{Seconds, Watts};
 use me_ozaki::{ozaki_gemm, ozaki_gemm_with, OzakiBackend, OzakiConfig, Workers};
 use me_par::WorkerPool;
@@ -147,7 +147,7 @@ fn main() {
             match KernelVariant::parse(&v) {
                 Some(k) => set_kernel_override(Some(k)),
                 None => {
-                    eprintln!("parallel_scaling: unknown --kernel {v:?} (want scalar|portable|avx2)");
+                    eprintln!("parallel_scaling: unknown --kernel {v:?} (want scalar|avx2|avx512)");
                     std::process::exit(2);
                 }
             }
@@ -172,7 +172,7 @@ fn main() {
     let b = bench_matrix(n, n, 2);
 
     let mut c_ref = Mat::zeros(n, n);
-    let serial = time(reps, || gemm_tiled(1.0, &a, &b, 0.0, &mut c_ref));
+    let serial = time(reps, || gemm(GemmAlgo::Tiled, 1.0, &a, &b, 0.0, &mut c_ref));
     println!(
         "parallel_scaling: {n}\u{00d7}{n}\u{00d7}{n} DGEMM, serial tiled {:.3} ms",
         serial * 1e3
@@ -180,7 +180,8 @@ fn main() {
     for &t in &POOL_WIDTHS {
         let pool = WorkerPool::new(t);
         let mut c = Mat::zeros(n, n);
-        let dt = time(reps, || gemm_parallel_on(&pool, 1.0, &a, &b, 0.0, &mut c));
+        let plan = GemmPlan::new(selected_kernel()).with_workers(Workers::Pool(&pool));
+        let dt = time(reps, || plan.run(1.0, &a, &b, 0.0, &mut c));
         let bitwise = c.as_slice() == c_ref.as_slice();
         assert!(bitwise, "parallel result diverged from serial at {t} threads");
         println!(

@@ -21,7 +21,7 @@
 //! service. Acceptance gates, in order:
 //!
 //! 1. every result from every arm is bitwise identical to the serial
-//!    `gemm_tiled_with` reference (the speedups are not bought with
+//!    `GemmPlan` reference (the speedups are not bought with
 //!    numerics),
 //! 2. batched throughput ≥ 2x unbatched (the PR 5 gate, unchanged),
 //! 3. the B-cache arm is at least as fast as the no-cache arm,
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use me_bench::bench_matrix;
-use me_linalg::{gemm_tiled_with, KernelVariant, Mat};
+use me_linalg::{GemmPlan, KernelVariant, Mat};
 use me_serve::{
     Job, Outcome, QueueKind, Scheduler, ServeConfig, StatsSnapshot, SubmitError, TenantId, Ticket,
 };
@@ -153,10 +153,9 @@ fn main() {
     let (total, reps, passes) = if smoke { (400, 3, 10) } else { (4000, 2, 3) };
     // The cache A/B runs at a small coalescing window (one B-pack per
     // ~12 stacked rows — the regime the cache is for) and on the fastest
-    // runnable kernel: on the slow scalar/portable kernels compute
-    // drowns the pack entirely (~1 % of a batch), so the A/B would
-    // measure noise. The batching A/B below keeps the original
-    // Portable / batch_max = 64 arms (the PR 5 gate, unchanged).
+    // runnable kernel: on the slow scalar kernel compute drowns the pack
+    // entirely (~1 % of a batch), so the A/B would measure noise. The
+    // batching A/B below runs the scalar kernel at batch_max = 1 vs 64.
     let cache_batch = 8;
     let fast = *me_linalg::available_variants().last().expect("scalar always runs");
     let (trace, weights) = build_trace(total, 42);
@@ -181,16 +180,17 @@ fn main() {
             .iter()
             .map(|r| {
                 let mut c = Mat::zeros(r.a.rows(), weights[r.bucket].cols());
-                gemm_tiled_with(variant, 1.0, &r.a, &weights[r.bucket], 0.0, &mut c);
+                let b = weights[r.bucket].as_ref();
+                GemmPlan::new(variant).run(1.0, r.a.as_ref(), b, 0.0, &mut c);
                 c
             })
             .collect()
     };
     let t_ref = Instant::now();
-    let refs = serial_refs(KernelVariant::Portable);
+    let refs = serial_refs(KernelVariant::Scalar);
     let refs_fast = serial_refs(fast);
     println!(
-        "  serial reference loops (Portable + {}): {:.3} s",
+        "  serial reference loops (Scalar + {}): {:.3} s",
         fast.name(),
         t_ref.elapsed().as_secs_f64()
     );
@@ -201,8 +201,8 @@ fn main() {
     let mut best_cached = f64::INFINITY;
     let mut cached_stats = None;
     for _ in 0..reps {
-        let (t_u, out_u, _) = run_arm(&trace, &weights, KernelVariant::Portable, 1, 0, 1);
-        let (t_b, out_b, _) = run_arm(&trace, &weights, KernelVariant::Portable, 64, 0, 1);
+        let (t_u, out_u, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 1, 0, 1);
+        let (t_b, out_b, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 64, 0, 1);
         let (t_n, out_n, _) = run_arm(&trace, &weights, fast, cache_batch, 0, passes);
         let (t_c, out_c, stats_c) =
             run_arm(&trace, &weights, fast, cache_batch, 64 << 20, passes);

@@ -138,7 +138,7 @@ impl std::error::Error for ExecError {}
 /// The host-side thread-count knob shared between the *modeled* and the
 /// *measured* parallelism.
 ///
-/// The measured side (`me_linalg::gemm_parallel`, `me_ozaki::
+/// The measured side (`me_linalg::GemmPlan` on `Workers::Threads`, `me_ozaki::
 /// ozaki_gemm_with`, the scaling benches) and this execution model both
 /// resolve the same way — an explicit count wins, otherwise the `ME_THREADS`
 /// environment variable, otherwise the OS ([`me_par::resolve_threads`]) —

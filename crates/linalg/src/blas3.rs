@@ -1,33 +1,35 @@
 //! BLAS level-3 routines, centred on GEMM.
 //!
-//! Four GEMM code paths are provided, mirroring the paper's Table II
-//! comparison of scalar vs vectorized (AVX2) OpenBLAS builds:
+//! Three GEMM code paths mirror the paper's Table II comparison of
+//! scalar vs vectorized (AVX2) OpenBLAS builds:
 //!
 //! - [`gemm_naive`] — textbook triple loop, strictly scalar dependency
 //!   chain: the stand-in for a scalar (no-SIMD) build,
-//! - [`gemm_blocked`] — cache-blocked loop nest with B-packing,
-//! - [`gemm_tiled`] — packs A/B panels and runs a register-tiled
-//!   micro-kernel with unrolled independent accumulators (the shape
-//!   autovectorizers map onto SIMD lanes): the stand-in for a vectorized
-//!   build,
-//! - [`gemm_parallel`] — the *same* packed core fanned out over disjoint
-//!   zero-copy row panels of C on a persistent [`me_par::WorkerPool`].
+//! - [`gemm_blocked`] — cache-blocked loop nest streaming rows of B,
+//! - [`GemmPlan::run`] — the one packed core: packs A/B panels and runs a
+//!   register-tiled micro-kernel with independent accumulators (the shape
+//!   SIMD units map onto lanes), serially or fanned out over disjoint
+//!   zero-copy row panels of C on a [`me_par::WorkerPool`]: the stand-in
+//!   for a vectorized build.
 //!
-//! All variants compute `C ← α·A·B + β·C` and agree to rounding order.
-//! [`gemm_tiled`] and [`gemm_parallel`] are **bitwise identical** for every
-//! thread count: both drive [`gemm_packed_panel`], whose per-element FMA
-//! order depends only on the global KC grid, never on the row partition or
-//! tile membership.
+//! All paths compute `C ← α·A·B + β·C` and agree to rounding order; with
+//! `β = 0`, C is overwritten and never read (reference-DGEMM semantics).
+//! The packed core serves every operand the crate has — `Mat<f64>`,
+//! `Mat<f32>` and half-stored [`HalfMat`] (widened exactly in the pack
+//! loops) — against a fresh, transposed or prepacked B ([`BOperand`]).
+//! [`gemm`], [`gemm_tiled_prepacked_with`] and the Ozaki engine call
+//! [`gemm_half_f32`] are thin fronts over it.
 //!
-//! The packed core's inner MR×NR tile is computed by a runtime-dispatched
-//! micro-kernel ([`ukernel`]): strictly scalar, portable-unrolled, or
-//! hand-written AVX2+FMA intrinsics — all bitwise identical by the
-//! fixed-FMA-order contract, so the dispatch choice (env `ME_KERNEL`, the
-//! benches' `--kernel` flag, or CPUID detection) never changes a result
-//! bit. The `_with` entry points ([`gemm_tiled_with`],
-//! [`gemm_parallel_with`], [`gemm_parallel_on_with`]) pin a variant
-//! explicitly — the differential harness drives those, avoiding global
-//! dispatch state in concurrent tests.
+//! The core is **bitwise identical** for every thread count, every kernel
+//! variant and both B sources: its per-element FMA order depends only on
+//! the global KC grid, never on the row partition, the tile membership or
+//! where the B panel came from. The MR×NR tile runs a runtime-dispatched
+//! micro-kernel ([`ukernel`]): strictly scalar, or hand-written AVX2+FMA
+//! or AVX-512 intrinsics, all bitwise identical by the fixed-FMA-order
+//! contract, so the dispatch choice (env `ME_KERNEL`, the benches'
+//! `--kernel` flag, or CPUID detection) never changes a result bit. A
+//! [`GemmPlan`] pins the variant explicitly — the differential harness
+//! does, avoiding global dispatch state in concurrent tests.
 
 pub mod autotune;
 pub mod blocking;
@@ -38,10 +40,9 @@ pub mod ukernel;
 
 use crate::mat::{Mat, MatMut, Scalar};
 pub use blocking::{blocking_for, set_blocking_override, Blocking, BlockingDispatch, BLOCKING_ENV};
-pub use half::{
-    gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind, HalfMat,
-};
-pub use int8::{dot_i8, dot_i8_portable, dot_i8_scalar, gemm_i8_i32};
+pub use half::{gemm_half_f32, HalfKind, HalfMat};
+pub use int8::{dot_i8, dot_i8_scalar, gemm_i8_i32};
+pub use me_par::Workers;
 pub use packed::{pack_b_matrix, PackedB};
 pub use ukernel::{
     available_variants, avx2_supported, avx512_supported, selected_kernel, set_kernel_override,
@@ -53,24 +54,26 @@ pub use ukernel::{
 pub enum GemmAlgo {
     /// Textbook scalar triple loop.
     Naive,
-    /// Cache-blocked with packing.
+    /// Cache-blocked, streaming rows of B.
     Blocked,
-    /// Cache-blocked + register-tiled micro-kernel (SIMD-shaped).
+    /// The packed register-tiled core (SIMD-shaped), serial.
     Tiled,
-    /// Tiled kernel parallelized over row panels.
+    /// The packed core over row panels on `ME_THREADS` workers.
     Parallel,
 }
 
-/// `C ← α·A·B + β·C` with the selected algorithm.
+/// `C ← α·A·B + β·C` with the selected algorithm; `Tiled` and `Parallel`
+/// run the runtime-selected kernel variant.
 ///
 /// # Panics
 /// On shape mismatch.
 pub fn gemm<T: Scalar>(algo: GemmAlgo, alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
+    let plan = GemmPlan::new(selected_kernel());
     match algo {
         GemmAlgo::Naive => gemm_naive(alpha, a, b, beta, c),
         GemmAlgo::Blocked => gemm_blocked(alpha, a, b, beta, c),
-        GemmAlgo::Tiled => gemm_tiled(alpha, a, b, beta, c),
-        GemmAlgo::Parallel => gemm_parallel(alpha, a, b, beta, c, 0),
+        GemmAlgo::Tiled => plan.run(alpha, a, b, beta, c),
+        GemmAlgo::Parallel => plan.with_workers(Workers::Threads(0)).run(alpha, a, b, beta, c),
     }
 }
 
@@ -80,10 +83,16 @@ fn check_shapes<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &Mat<T>) {
     assert_eq!(b.cols(), c.cols(), "gemm: C cols mismatch");
 }
 
-fn check_prepacked_shapes<T: Scalar>(a: &Mat<T>, b: &PackedB<T>, c: &Mat<T>) {
-    assert_eq!(a.cols(), b.k(), "gemm: inner dimension mismatch");
-    assert_eq!(a.rows(), c.rows(), "gemm: C rows mismatch");
-    assert_eq!(b.n(), c.cols(), "gemm: C cols mismatch");
+/// `C ← β·C`, except that `β = 0` stores +0 without reading C, so NaN or
+/// ±Inf left in C does not survive (reference-DGEMM semantics).
+fn scale_by_beta<T: Scalar>(c: &mut [T], beta: T) {
+    if beta == T::ZERO {
+        c.fill(T::ZERO);
+    } else {
+        for v in c {
+            *v *= beta;
+        }
+    }
 }
 
 /// Scalar reference GEMM: a single running accumulator per output element,
@@ -92,30 +101,24 @@ fn check_prepacked_shapes<T: Scalar>(a: &Mat<T>, b: &PackedB<T>, c: &Mat<T>) {
 pub fn gemm_naive<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
     check_shapes(a, b, c);
     let (m, k) = a.shape();
-    let n = b.cols();
+    scale_by_beta(c.as_mut_slice(), beta);
     for i in 0..m {
-        for j in 0..n {
+        for j in 0..b.cols() {
             let mut acc = T::ZERO;
             for p in 0..k {
                 acc = a[(i, p)].mul_add(b[(p, j)], acc);
             }
-            c[(i, j)] = alpha.mul_add(acc, beta * c[(i, j)]);
+            c[(i, j)] = alpha.mul_add(acc, c[(i, j)]);
         }
     }
-    let _ = m;
 }
 
-/// Cache-blocked GEMM with row-panel packing of B.
+/// Cache-blocked GEMM streaming rows of B against each row of A.
 pub fn gemm_blocked<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
     check_shapes(a, b, c);
     let (m, k) = a.shape();
-    let n = b.cols();
     let Blocking { mc: mc_blk, kc: kc_blk, .. } = Blocking::DEFAULT;
-
-    // Scale C by beta once up front.
-    for v in c.as_mut_slice() {
-        *v *= beta;
-    }
+    scale_by_beta(c.as_mut_slice(), beta);
 
     // kc x n panel of B, reused across the i blocks.
     for kb in (0..k).step_by(kc_blk) {
@@ -135,67 +138,174 @@ pub fn gemm_blocked<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mu
             }
         }
     }
-    let _ = n;
 }
 
-/// Register-tiled GEMM: packed MR×NR micro-kernel with independent
-/// accumulators.
+/// A row-major matrix the packed core can read: its storage words at a
+/// row stride, and the exact widening of one word into the element the
+/// micro-kernel computes in — identity for `Mat<f64>`/`Mat<f32>`, f16 or
+/// bf16 bits → f32 for [`HalfMat`].
+pub trait GemmOperand: Sync {
+    /// The element the micro-kernel computes in.
+    type Elem: Scalar;
+    /// The element as stored.
+    type Stored: Copy;
+    /// `(rows, cols)` of the logical matrix.
+    fn shape(&self) -> (usize, usize);
+    /// The storage, row-major at stride [`Self::ld`].
+    fn data(&self) -> &[Self::Stored];
+    /// Distance between row starts in [`Self::data`].
+    fn ld(&self) -> usize {
+        self.shape().1
+    }
+    /// Exact widening of one stored element.
+    fn widen(&self, x: Self::Stored) -> Self::Elem;
+    /// The trace counter one packed-core run on `variant` bumps.
+    fn counter(variant: KernelVariant) -> &'static str {
+        variant.counter()
+    }
+}
+
+impl<T: Scalar> GemmOperand for Mat<T> {
+    type Elem = T;
+    type Stored = T;
+
+    fn shape(&self) -> (usize, usize) {
+        Mat::shape(self)
+    }
+
+    fn data(&self) -> &[T] {
+        self.as_slice()
+    }
+
+    #[inline(always)]
+    fn widen(&self, x: T) -> T {
+        x
+    }
+}
+
+/// The B side of a packed-core GEMM.
+pub enum BOperand<'b, A: GemmOperand> {
+    /// A `k × n` matrix, packed into scratch per (NC, KC) block.
+    Fresh(&'b A),
+    /// Bᵀ stored as an `n × k` matrix — the engine-call layout, where both
+    /// operands stream along k.
+    Transposed(&'b A),
+    /// Panels prepacked once by [`pack_b_matrix`]: no pack work, and the
+    /// `kc`/`nc` grid recorded in the [`PackedB`] wins over the plan's.
+    Packed(&'b PackedB<A::Elem>),
+}
+
+impl<'b, A: GemmOperand> From<&'b A> for BOperand<'b, A> {
+    fn from(b: &'b A) -> Self {
+        BOperand::Fresh(b)
+    }
+}
+
+impl<'b, A: GemmOperand> From<&'b PackedB<A::Elem>> for BOperand<'b, A> {
+    fn from(b: &'b PackedB<A::Elem>) -> Self {
+        BOperand::Packed(b)
+    }
+}
+
+impl<A: GemmOperand> BOperand<'_, A> {
+    /// `(k, n)` of the logical B.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            BOperand::Fresh(b) => b.shape(),
+            BOperand::Transposed(bt) => (bt.shape().1, bt.shape().0),
+            BOperand::Packed(p) => (p.k(), p.n()),
+        }
+    }
+}
+
+/// How a packed-core GEMM runs: the micro-kernel variant, the cache
+/// blocking (`None` = the variant's entry in the blocking table, see
+/// [`blocking_for`]) and the workers the row panels of C fan out over.
 ///
-/// The micro-kernel keeps `MR * NR` running sums in local variables and
-/// updates them with independent FMAs per k step — the dependency structure
-/// SIMD units (and autovectorizers) exploit. This is the "vectorized build"
-/// stand-in for Table II. Operand blocks are packed (A into MR-row
-/// micro-panels under the MC cache block, B into NR-column micro-panels per
-/// KC block) so the inner kernel streams over contiguous memory; the exact
-/// same core runs under [`gemm_parallel`], one row panel per worker.
-pub fn gemm_tiled<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
-    gemm_tiled_with(selected_kernel(), alpha, a, b, beta, c);
-}
-
-/// [`gemm_tiled`] with an explicitly pinned micro-kernel variant
-/// (sanitized through [`KernelVariant::resolve_supported`], so requesting
-/// `Avx2` on a non-AVX2 host runs `Portable` instead of faulting).
-pub fn gemm_tiled_with<T: Scalar>(
-    variant: KernelVariant,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    let variant = variant.resolve_supported();
-    gemm_tiled_with_blocking(variant, blocking_for(variant), alpha, a, b, beta, c);
-}
-
-/// [`gemm_tiled_with`] with an explicitly pinned [`Blocking`], bypassing
-/// the global dispatch table — the autotune sweep's timing primitive
-/// (no global state is touched, so concurrent sweeps can't race) and the
-/// benches' A/B arms. Remember that `kc` is numerically observable:
+/// The result is bitwise identical for every variant and every worker
+/// choice; of the blocking only `kc` is numerically observable, so
 /// bitwise comparisons must pin one `kc` on both sides.
-pub fn gemm_tiled_with_blocking<T: Scalar>(
-    variant: KernelVariant,
-    blocking: Blocking,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    check_shapes(a, b, c);
-    let variant = variant.resolve_supported();
-    let _t = me_trace::span(variant.tag(), "linalg");
-    let mut view = c.as_view_mut();
-    gemm_packed_panel(variant, blocking.normalized(), alpha, a, BOperand::Fresh(b), beta, &mut view, 0);
+#[derive(Debug, Clone, Copy)]
+pub struct GemmPlan<'p> {
+    /// The micro-kernel; unsupported requests degrade through
+    /// [`KernelVariant::resolve_supported`] instead of faulting.
+    pub variant: KernelVariant,
+    /// Pinned blocking, or `None` for the live blocking table.
+    pub blocking: Option<Blocking>,
+    /// Where the row panels run.
+    pub workers: Workers<'p>,
 }
 
-/// `C ← α·A·B + β·C` where `B` was packed up front by [`pack_b_matrix`].
-///
-/// Consumes the stored panels exactly as the fresh path consumes its
-/// scratch pack, under the `kc`/`nc` grid recorded in the [`PackedB`] —
-/// so for equal `kc` the output is **bitwise identical** to
-/// [`gemm_tiled_with`] on the unpacked `B` (the §9 FMA contract extended
-/// to prepacked operands; `tests/prepacked_differential.rs` proves it
-/// across the variant grid).
+impl GemmPlan<'static> {
+    /// A serial plan on `variant` with the table blocking.
+    pub fn new(variant: KernelVariant) -> Self {
+        GemmPlan { variant, blocking: None, workers: Workers::Threads(1) }
+    }
+}
+
+impl<'p> GemmPlan<'p> {
+    /// This plan on other workers.
+    pub fn with_workers<'w>(self, workers: Workers<'w>) -> GemmPlan<'w> {
+        GemmPlan { variant: self.variant, blocking: self.blocking, workers }
+    }
+
+    /// This plan with a pinned blocking.
+    pub fn with_blocking(self, blocking: Blocking) -> Self {
+        GemmPlan { blocking: Some(blocking), ..self }
+    }
+
+    /// `C ← α·A·B + β·C` on the packed core, with B fresh (`&Mat`,
+    /// `&HalfMat`), prepacked (`&PackedB`) or any [`BOperand`].
+    ///
+    /// # Panics
+    /// On shape mismatch (against a prepacked operand's recorded `k × n`).
+    pub fn run<'b, A: GemmOperand + 'b>(
+        &self,
+        alpha: A::Elem,
+        a: &A,
+        b: impl Into<BOperand<'b, A>>,
+        beta: A::Elem,
+        c: &mut Mat<A::Elem>,
+    ) {
+        let b = b.into();
+        let ((m, k), (kb, n)) = (a.shape(), b.shape());
+        assert_eq!(k, kb, "gemm: inner dimension mismatch");
+        assert_eq!(m, c.rows(), "gemm: C rows mismatch");
+        assert_eq!(n, c.cols(), "gemm: C cols mismatch");
+        let variant = self.variant.resolve_supported();
+        // Resolved once, outside the workers: every panel must run the
+        // same kc grid even if an override lands mid-GEMM.
+        let blocking = match b {
+            BOperand::Packed(p) => p.blocking(),
+            _ => self.blocking.unwrap_or_else(|| blocking_for(variant)).normalized(),
+        };
+        let units = if m < 2 * MR || n == 0 { 1 } else { m.div_ceil(MR) };
+        self.workers.run(units, |pool| {
+            let Some(pool) = pool else {
+                let _t = me_trace::span(variant.tag(), "linalg");
+                let mut view = c.as_view_mut();
+                gemm_packed_panel(variant, blocking, alpha, a, k, &b, beta, &mut view, 0);
+                return;
+            };
+            if m == 0 {
+                return;
+            }
+            // MR-aligned panel boundaries keep whole micro-tiles on one
+            // worker; correctness and bitwise equality hold for any split.
+            let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
+            let mut panels: Vec<_> = c.split_rows_mut(rows_per).collect();
+            pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
+                gemm_packed_panel(variant, blocking, alpha, a, k, &b, beta, panel, *r0);
+            });
+        });
+    }
+}
+
+/// `C ← α·A·B + β·C` where `B` was packed up front by [`pack_b_matrix`]:
+/// serial [`GemmPlan::run`] on `variant`. For equal `kc` the output is
+/// **bitwise identical** to the fresh-pack GEMM on the unpacked `B` (the
+/// §9 FMA contract extended to prepacked operands;
+/// `tests/prepacked_differential.rs` proves it across the variant grid).
 ///
 /// # Panics
 /// On shape mismatch against the packed operand's recorded `k × n`.
@@ -207,32 +317,37 @@ pub fn gemm_tiled_prepacked_with<T: Scalar>(
     beta: T,
     c: &mut Mat<T>,
 ) {
-    check_prepacked_shapes(a, b, c);
-    let variant = variant.resolve_supported();
-    let _t = me_trace::span(variant.tag(), "linalg");
-    let mut view = c.as_view_mut();
-    gemm_packed_panel(variant, b.blocking(), alpha, a, BOperand::Packed(b), beta, &mut view, 0);
+    GemmPlan::new(variant).run(alpha, a, b, beta, c);
 }
 
 /// Pack the `mc × kc` block of A at (`row0`, `kb`) into MR-row
-/// micro-panels: micro-panel `it` stores, for each k step `p`, the MR
-/// values `A[row0 + it·MR + r][kb + p]` contiguously, zero-padded past
-/// `mc`. The padding rows feed accumulator lanes that are never written
-/// back, so they cost a few FMAs but keep the kernel branch-free.
+/// micro-panels, widening each element as it lands: micro-panel `it`
+/// stores, for each k step `p`, the MR values `A[row0 + it·MR + r][kb + p]`
+/// contiguously, zero-padded past `mc`. The padding rows feed accumulator
+/// lanes that are never written back, so they cost a few FMAs but keep the
+/// kernel branch-free.
 // me-verify: hot
-fn pack_a<T: Scalar>(a: &Mat<T>, row0: usize, mc: usize, kb: usize, kc: usize, buf: &mut [T]) {
+fn pack_a<A: GemmOperand>(
+    a: &A,
+    row0: usize,
+    mc: usize,
+    kb: usize,
+    kc: usize,
+    buf: &mut [A::Elem],
+) {
+    let (data, ld) = (a.data(), a.ld());
     for it in 0..mc.div_ceil(MR) {
         let tile = &mut buf[it * MR * kc..(it + 1) * MR * kc];
         for r in 0..MR {
             let li = it * MR + r;
             if li < mc {
-                let arow = &a.row(row0 + li)[kb..kb + kc];
-                for (p, &v) in arow.iter().enumerate() {
-                    tile[p * MR + r] = v;
+                let start = (row0 + li) * ld + kb;
+                for (p, &v) in data[start..start + kc].iter().enumerate() {
+                    tile[p * MR + r] = a.widen(v);
                 }
             } else {
                 for p in 0..kc {
-                    tile[p * MR + r] = T::ZERO;
+                    tile[p * MR + r] = A::Elem::ZERO;
                 }
             }
         }
@@ -242,46 +357,65 @@ fn pack_a<T: Scalar>(a: &Mat<T>, row0: usize, mc: usize, kb: usize, kc: usize, b
 /// Pack the `kc × ncb` window of B at (`kb`, `jb`) into NR-column
 /// micro-panels: micro-panel `jt` stores, for each k step `p`, the NR
 /// values `B[kb + p][jb + jt·NR + j]` contiguously, zero-padded past the
-/// matrix edge. Shared verbatim by the in-scratch fresh path and
-/// [`pack_b_matrix`], which is what makes prepacked panels byte-identical
-/// to fresh ones (the §12 layout contract).
+/// matrix edge. Shared verbatim by the fresh path and [`pack_b_matrix`],
+/// which is what makes prepacked panels byte-identical to fresh ones (the
+/// §12 layout contract).
 // me-verify: hot
-pub(crate) fn pack_b<T: Scalar>(
-    b: &Mat<T>,
+pub(crate) fn pack_b<A: GemmOperand>(
+    b: &A,
     kb: usize,
     kc: usize,
     jb: usize,
     ncb: usize,
-    buf: &mut [T],
+    buf: &mut [A::Elem],
 ) {
+    let (data, ld) = (b.data(), b.ld());
     for p in 0..kc {
-        let brow = b.row(kb + p);
+        let brow = &data[(kb + p) * ld..];
         for jt in 0..ncb.div_ceil(NR) {
             let j0 = jb + jt * NR;
             let w = NR.min(jb + ncb - j0);
             let dst = &mut buf[jt * NR * kc + p * NR..jt * NR * kc + (p + 1) * NR];
-            dst[..w].copy_from_slice(&brow[j0..j0 + w]);
-            for v in &mut dst[w..] {
-                *v = T::ZERO;
+            for (d, &v) in dst[..w].iter_mut().zip(&brow[j0..j0 + w]) {
+                *d = b.widen(v);
+            }
+            dst[w..].fill(A::Elem::ZERO);
+        }
+    }
+}
+
+/// [`pack_b`] for a B given transposed: row `j` of `bt` holds column `j`
+/// of the logical B, so each NR-column micro-panel gathers NR lines.
+// me-verify: hot
+fn pack_bt<A: GemmOperand>(
+    bt: &A,
+    kb: usize,
+    kc: usize,
+    jb: usize,
+    ncb: usize,
+    buf: &mut [A::Elem],
+) {
+    let (data, ld) = (bt.data(), bt.ld());
+    for jt in 0..ncb.div_ceil(NR) {
+        let tile = &mut buf[jt * NR * kc..(jt + 1) * NR * kc];
+        for jj in 0..NR {
+            let j = jt * NR + jj;
+            if j < ncb {
+                let start = (jb + j) * ld + kb;
+                for (p, &v) in data[start..start + kc].iter().enumerate() {
+                    tile[p * NR + jj] = bt.widen(v);
+                }
+            } else {
+                for p in 0..kc {
+                    tile[p * NR + jj] = A::Elem::ZERO;
+                }
             }
         }
     }
 }
 
-/// The B-side operand of the packed core: a fresh matrix packed into
-/// scratch per (NC, KC) block, or panels prepacked once by
-/// [`pack_b_matrix`] and replayed from the [`PackedB`].
-#[derive(Clone, Copy)]
-enum BOperand<'b, T: Scalar> {
-    /// Pack from the matrix into per-block scratch (the classic path).
-    Fresh(&'b Mat<T>),
-    /// Borrow panels straight from a prepacked operand; zero pack work.
-    Packed(&'b PackedB<T>),
-}
-
-/// The packing + micro-kernel core shared by the serial ([`gemm_tiled`]),
-/// parallel ([`gemm_parallel`]) and prepacked fronts: computes
-/// `C_panel ← α·A[r0..r0+rows]·B + β·C_panel` directly on a borrowed
+/// The packing + micro-kernel core behind every packed GEMM: computes
+/// `C_panel ← α·A[r0..r0+rows, ..k]·B + β·C_panel` directly on a borrowed
 /// zero-copy panel view of C.
 ///
 /// Loop order is NC column blocks (outermost) → KC chunks (the shared
@@ -294,58 +428,62 @@ enum BOperand<'b, T: Scalar> {
 ///
 /// Of `blocking` only `kc` is numerically observable (it sets the
 /// per-element FMA grouping); `mc`/`nc` merely reorder independent
-/// elements' work. In `Packed` mode the caller passes the operand's own
+/// elements' work. For a `Packed` B the caller passes the operand's own
 /// recorded blocking so the replayed grid matches the stored panels.
 ///
 /// Pack buffers come from the per-thread 64-byte-aligned scratch
 /// ([`crate::mat::with_pack_scratch`]), sized by `kc.min(k)` so skinny-k
 /// serving shapes stop over-allocating: steady-state GEMMs allocate
 /// nothing — the `linalg.pack_scratch_grow` trace counter proves it.
-/// `Packed` mode requests zero B scratch.
+/// A `Packed` B requests zero B scratch.
 ///
 /// `variant` must already be resolved via
-/// [`KernelVariant::resolve_supported`] and `blocking` normalized (the
-/// public fronts do both).
+/// [`KernelVariant::resolve_supported`] and `blocking` normalized.
 // me-verify: hot
-fn gemm_packed_panel<T: Scalar>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed_panel<A: GemmOperand>(
     variant: KernelVariant,
     blocking: Blocking,
-    alpha: T,
-    a: &Mat<T>,
-    b: BOperand<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
+    alpha: A::Elem,
+    a: &A,
+    k: usize,
+    b: &BOperand<'_, A>,
+    beta: A::Elem,
+    c: &mut MatMut<'_, A::Elem>,
     r0: usize,
 ) {
     let rows = c.rows();
     let n = c.cols();
-    let k = a.cols();
-    for v in c.as_mut_slice() {
-        *v *= beta;
-    }
+    scale_by_beta(c.as_mut_slice(), beta);
     if rows == 0 || n == 0 || k == 0 {
         return;
     }
-    me_trace::counter_add(variant.counter(), 1);
+    me_trace::counter_add(A::counter(variant), 1);
     let Blocking { mc: mc_blk, kc: kc_blk, nc: nc_blk } = blocking;
+    let unit_alpha = alpha == A::Elem::ONE;
     let a_len = mc_blk.div_ceil(MR) * MR * kc_blk.min(k);
     let b_len = match b {
-        BOperand::Fresh(_) => nc_blk.min(n).div_ceil(NR) * NR * kc_blk.min(k),
         BOperand::Packed(_) => 0,
+        _ => nc_blk.min(n).div_ceil(NR) * NR * kc_blk.min(k),
     };
-    crate::mat::with_pack_scratch::<T, _>(a_len, b_len, |apack, bpack| {
+    crate::mat::with_pack_scratch::<A::Elem, _>(a_len, b_len, |apack, bpack| {
         for (bj, jb) in (0..n).step_by(nc_blk).enumerate() {
             let ncb = nc_blk.min(n - jb);
             let ntiles_n = ncb.div_ceil(NR);
             for (bk, kb) in (0..k).step_by(kc_blk).enumerate() {
                 let kc = kc_blk.min(k - kb);
-                let bpanel: &[T] = match b {
+                let bpanel: &[A::Elem] = match *b {
+                    BOperand::Packed(p) => p.panel(bj, bk),
                     BOperand::Fresh(bm) => {
                         let _t = me_trace::span("gemm.pack_b", "linalg");
                         pack_b(bm, kb, kc, jb, ncb, &mut bpack[..ntiles_n * NR * kc]);
                         &bpack[..ntiles_n * NR * kc]
                     }
-                    BOperand::Packed(p) => p.panel(bj, bk),
+                    BOperand::Transposed(bt) => {
+                        let _t = me_trace::span("gemm.pack_b", "linalg");
+                        pack_bt(bt, kb, kc, jb, ncb, &mut bpack[..ntiles_n * NR * kc]);
+                        &bpack[..ntiles_n * NR * kc]
+                    }
                 };
                 for ib in (0..rows).step_by(mc_blk) {
                     let mc = mc_blk.min(rows - ib);
@@ -366,8 +504,16 @@ fn gemm_packed_panel<T: Scalar>(
                             let nc = NR.min(n - j0);
                             for (r, accr) in acc.iter().enumerate().take(mr) {
                                 let crow = &mut c.row_mut(ib + it * MR + r)[j0..j0 + nc];
-                                for (cv, &av) in crow.iter_mut().zip(accr) {
-                                    *cv = alpha.mul_add(av, *cv);
+                                // `av + cv` is bitwise `1·av + cv` fused (the
+                                // product is exact) without a libm call.
+                                if unit_alpha {
+                                    for (cv, &av) in crow.iter_mut().zip(accr) {
+                                        *cv = av + *cv;
+                                    }
+                                } else {
+                                    for (cv, &av) in crow.iter_mut().zip(accr) {
+                                        *cv = alpha.mul_add(av, *cv);
+                                    }
                                 }
                             }
                         }
@@ -375,129 +521,6 @@ fn gemm_packed_panel<T: Scalar>(
                 }
             }
         }
-    });
-}
-
-/// Tiled GEMM parallelized over disjoint row panels of C on a persistent
-/// [`me_par::WorkerPool`].
-///
-/// Each worker runs the *same* packed micro-kernel core as [`gemm_tiled`]
-/// directly on a borrowed zero-copy panel view ([`Mat::split_rows_mut`]) —
-/// no panel copies, no write-back, and a result that is **bitwise
-/// identical** to the serial tiled path for every thread count (the
-/// per-element rounding order never depends on the row partition).
-///
-/// `threads == 0` resolves through [`me_par::resolve_threads`] (the
-/// `ME_THREADS` knob, then the OS).
-pub fn gemm_parallel<T: Scalar>(
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-    threads: usize,
-) {
-    gemm_parallel_with(selected_kernel(), alpha, a, b, beta, c, threads);
-}
-
-/// [`gemm_parallel`] with an explicitly pinned micro-kernel variant.
-pub fn gemm_parallel_with<T: Scalar>(
-    variant: KernelVariant,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-    threads: usize,
-) {
-    check_shapes(a, b, c);
-    let m = a.rows();
-    let nthreads = me_par::resolve_threads(threads).min(m.div_ceil(MR).max(1));
-    if nthreads <= 1 || m < 2 * MR || b.cols() == 0 {
-        gemm_tiled_with(variant, alpha, a, b, beta, c);
-        return;
-    }
-    if nthreads == me_par::global().threads() {
-        gemm_parallel_on_with(me_par::global(), variant, alpha, a, b, beta, c);
-    } else {
-        // Off-default widths (benches, tests) get a dedicated pool.
-        let pool = me_par::WorkerPool::new(nthreads);
-        gemm_parallel_on_with(&pool, variant, alpha, a, b, beta, c);
-    }
-}
-
-/// [`gemm_parallel`] on a caller-supplied pool: the entry point for the
-/// scaling benches, which sweep pool widths explicitly.
-pub fn gemm_parallel_on<T: Scalar>(
-    pool: &me_par::WorkerPool,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    gemm_parallel_on_with(pool, selected_kernel(), alpha, a, b, beta, c);
-}
-
-/// [`gemm_parallel_on`] with an explicitly pinned micro-kernel variant.
-/// The variant's span tag rides into every worker job via
-/// [`me_par::WorkerPool::for_each_mut_tagged`], so traces show which
-/// kernel ran on which lane.
-pub fn gemm_parallel_on_with<T: Scalar>(
-    pool: &me_par::WorkerPool,
-    variant: KernelVariant,
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    check_shapes(a, b, c);
-    let m = a.rows();
-    if m == 0 {
-        return;
-    }
-    let variant = variant.resolve_supported();
-    // Resolve the blocking once, outside the workers: every panel must
-    // run the same kc grid even if an override lands mid-GEMM.
-    let blocking = blocking_for(variant).normalized();
-    // MR-aligned panel boundaries keep whole micro-tiles on one worker;
-    // correctness and bitwise equality hold for any split.
-    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
-    let mut panels: Vec<(usize, MatMut<'_, T>)> = c.split_rows_mut(rows_per).collect();
-    pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
-        gemm_packed_panel(variant, blocking, alpha, a, BOperand::Fresh(b), beta, panel, *r0);
-    });
-}
-
-/// [`gemm_tiled_prepacked_with`] fanned out over disjoint row panels of C
-/// on a caller-supplied pool — the me-serve batched path. Bitwise
-/// identical to the serial prepacked front (and, for equal `kc`, to the
-/// fresh-pack paths) for every pool width: the per-element FMA order
-/// depends only on the `kc` grid recorded in the [`PackedB`].
-///
-/// # Panics
-/// On shape mismatch against the packed operand's recorded `k × n`.
-pub fn gemm_parallel_on_prepacked_with<T: Scalar>(
-    pool: &me_par::WorkerPool,
-    variant: KernelVariant,
-    alpha: T,
-    a: &Mat<T>,
-    b: &PackedB<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    check_prepacked_shapes(a, b, c);
-    let m = a.rows();
-    if m == 0 {
-        return;
-    }
-    let variant = variant.resolve_supported();
-    let blocking = b.blocking();
-    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
-    let mut panels: Vec<(usize, MatMut<'_, T>)> = c.split_rows_mut(rows_per).collect();
-    pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
-        gemm_packed_panel(variant, blocking, alpha, a, BOperand::Packed(b), beta, panel, *r0);
     });
 }
 
@@ -668,108 +691,188 @@ mod tests {
         gemm_naive(1.0, &a, &b, 0.0, &mut c_ref);
         for threads in [1, 2, 3, 8] {
             let mut c = Mat::zeros(33, 29);
-            gemm_parallel(1.0, &a, &b, 0.0, &mut c, threads);
+            let plan = GemmPlan::new(selected_kernel()).with_workers(Workers::Threads(threads));
+            plan.run(1.0, &a, &b, 0.0, &mut c);
             assert!(c.max_abs_diff(&c_ref) < 1e-11, "threads={threads}");
         }
     }
 
-    #[test]
-    fn parallel_is_bitwise_identical_to_tiled() {
-        // Regression for the old gemm_parallel, which dispatched to a
-        // blocked rank-1 loop instead of the tiled micro-kernel: the
-        // parallel path must now produce the *same bits* as Tiled for
-        // every thread count, because both run gemm_packed_panel with a
-        // partition-independent per-element FMA order.
-        let a = mk(67, 91, 31);
-        let b = mk(91, 45, 32);
-        let c0 = mk(67, 45, 33);
-        let mut c_tiled = c0.clone();
-        gemm_tiled(1.25, &a, &b, -0.5, &mut c_tiled);
-        for threads in [1, 2, 3, 4, 7, 16] {
-            let mut c = c0.clone();
-            gemm_parallel(1.25, &a, &b, -0.5, &mut c, threads);
-            assert_eq!(
-                c.as_slice(),
-                c_tiled.as_slice(),
-                "threads={threads}: parallel differs from tiled bitwise"
-            );
+    /// Result bits, widened to f64 (exact for f32, sign of zero kept).
+    fn bits<T: Scalar>(m: &Mat<T>) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// One fixture of the packed-core suite: operands of one kind, B in
+    /// all three sources' forms, and the C and coefficients to run with.
+    struct Case<A: GemmOperand> {
+        a: A,
+        b: A,
+        bt: A,
+        b_elems: Mat<A::Elem>,
+        c0: Mat<A::Elem>,
+        alpha: A::Elem,
+        beta: A::Elem,
+    }
+
+    fn f64_case(a: Mat<f64>, b: Mat<f64>, c0: Mat<f64>, alpha: f64, beta: f64) -> Case<Mat<f64>> {
+        Case { bt: b.transpose(), b_elems: b.clone(), a, b, c0, alpha, beta }
+    }
+
+    fn half_case(
+        kind: HalfKind,
+        a: &Mat<f32>,
+        b: &Mat<f32>,
+        c0: Mat<f32>,
+        alpha: f32,
+        beta: f32,
+    ) -> Case<HalfMat> {
+        let hb = HalfMat::from_f32(kind, b);
+        Case {
+            a: HalfMat::from_f32(kind, a),
+            bt: HalfMat::from_f32(kind, &hb.widen().transpose()),
+            b_elems: hb.widen(),
+            b: hb,
+            c0,
+            alpha,
+            beta,
         }
     }
 
-    #[test]
-    fn kernel_variants_are_bitwise_identical_serial_and_parallel() {
-        // The dispatch-level restatement of the ukernel contract: pinning
-        // any available variant, serial or parallel, yields the scalar
-        // path's exact bits. (tests/kernel_differential.rs runs the full
-        // shape grid; this is the fast in-crate smoke.)
-        let a = mk(67, 91, 131);
-        let b = mk(91, 45, 132);
-        let c0 = mk(67, 45, 133);
-        let mut c_ref = c0.clone();
-        gemm_tiled_with(KernelVariant::Scalar, 1.25, &a, &b, -0.5, &mut c_ref);
-        for v in available_variants() {
-            let mut c = c0.clone();
-            gemm_tiled_with(v, 1.25, &a, &b, -0.5, &mut c);
-            assert_eq!(c.as_slice(), c_ref.as_slice(), "{v} tiled differs from scalar");
-            for threads in [2, 8] {
-                let mut c = c0.clone();
-                gemm_parallel_with(v, 1.25, &a, &b, -0.5, &mut c, threads);
-                assert_eq!(c.as_slice(), c_ref.as_slice(), "{v} parallel({threads}) differs");
+    impl<A: GemmOperand> Case<A> {
+        /// The scalar-kernel serial fresh-B run every cell must reproduce.
+        fn reference(&self) -> Mat<A::Elem> {
+            let mut c = self.c0.clone();
+            let plan = GemmPlan::new(KernelVariant::Scalar);
+            plan.run(self.alpha, &self.a, &self.b, self.beta, &mut c);
+            c
+        }
+
+        /// Every available variant × workers (serial, `threads`, explicit
+        /// pools of width `pools`) × B source (fresh, transposed,
+        /// prepacked under the variant's blocking) must give `want`'s bits.
+        fn assert_grid(&self, label: &str, threads: &[usize], pools: &[usize], want: &Mat<A::Elem>) {
+            let pools: Vec<me_par::WorkerPool> =
+                pools.iter().map(|&t| me_par::WorkerPool::new(t)).collect();
+            let workers: Vec<Workers<'_>> = std::iter::once(Workers::Threads(1))
+                .chain(threads.iter().map(|&t| Workers::Threads(t)))
+                .chain(pools.iter().map(Workers::Pool))
+                .collect();
+            for v in available_variants() {
+                let packed = pack_b_matrix(&self.b_elems, blocking_for(v));
+                for w in &workers {
+                    let sources = [
+                        ("fresh", BOperand::Fresh(&self.b)),
+                        ("transposed", BOperand::Transposed(&self.bt)),
+                        ("prepacked", BOperand::Packed(&packed)),
+                    ];
+                    for (src, b) in sources {
+                        let mut c = self.c0.clone();
+                        let plan = GemmPlan::new(v).with_workers(*w);
+                        plan.run(self.alpha, &self.a, b, self.beta, &mut c);
+                        assert_eq!(bits(&c), bits(want), "{label}: {v} {src} B on {w:?}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn unsupported_variant_request_still_correct() {
-        // Requesting Avx2 must work everywhere: honored when detected,
-        // degraded to Portable otherwise — never a fault, and always the
-        // same bits either way.
-        let a = mk(20, 33, 141);
-        let b = mk(33, 17, 142);
-        let mut c_ref = Mat::zeros(20, 17);
-        gemm_tiled_with(KernelVariant::Scalar, 1.0, &a, &b, 0.0, &mut c_ref);
-        let mut c = Mat::zeros(20, 17);
-        gemm_tiled_with(KernelVariant::Avx2, 1.0, &a, &b, 0.0, &mut c);
-        assert_eq!(c.as_slice(), c_ref.as_slice());
-    }
-
-    #[test]
-    fn parallel_non_divisible_splits() {
-        // m not a multiple of the thread count, m smaller than the thread
-        // count, and single-column B all hit the panel-edge paths.
-        for (m, k, n, threads) in [
-            (13, 7, 5, 4),  // m % threads != 0
-            (3, 9, 4, 8),   // m < threads (serial fallback, m < 2*MR)
-            (29, 5, 1, 3),  // n = 1: single partial NR tile
-            (64, 16, 8, 5), // MR-aligned m, odd thread count
-        ] {
+    fn packed_core_is_bitwise_across_operands_sources_variants_and_workers() {
+        // Every packed GEMM is one GemmPlan run, so one suite covers them
+        // all. Each fixture keeps the shape, seeds, coefficients and
+        // thread set of the per-entry-point check it stands for.
+        //
+        // f64, 67×91×45, the serial/parallel partition invariance.
+        let case = f64_case(mk(67, 91, 31), mk(91, 45, 32), mk(67, 45, 33), 1.25, -0.5);
+        case.assert_grid("f64 threads", &[1, 2, 3, 4, 7, 16], &[], &case.reference());
+        // f64, 67×91×45, every variant against the scalar kernel.
+        let case = f64_case(mk(67, 91, 131), mk(91, 45, 132), mk(67, 45, 133), 1.25, -0.5);
+        case.assert_grid("f64 variants", &[2, 8], &[], &case.reference());
+        // f64, 13×37×29, prepacked vs fresh, serial and on a width-3 pool.
+        let case = f64_case(mk(13, 37, 71), mk(37, 29, 72), mk(13, 29, 73), 1.25, -0.5);
+        case.assert_grid("f64 prepacked", &[], &[3], &case.reference());
+        // f64, 9×6×7 on a pool wider than the number of MR panels: the
+        // extra workers idle instead of misindexing.
+        let case = f64_case(mk(9, 6, 41), mk(6, 7, 42), Mat::zeros(9, 7), 1.0, 0.0);
+        case.assert_grid("f64 wide pool", &[], &[16], &case.reference());
+        // Ragged row splits: m % threads != 0, m < threads (serial
+        // fallback, m < 2·MR), a single partial NR tile, an odd count.
+        for (m, k, n, threads) in [(13, 7, 5, 4), (3, 9, 4, 8), (29, 5, 1, 3), (64, 16, 8, 5)] {
             let a = mk(m, k, (m * 31 + n) as u64);
             let b = mk(k, n, (k * 17 + threads) as u64);
-            let c0 = mk(m, n, 77);
-            let mut c_ref = c0.clone();
-            gemm_tiled(1.0, &a, &b, 1.0, &mut c_ref);
-            let mut c = c0.clone();
-            gemm_parallel(1.0, &a, &b, 1.0, &mut c, threads);
-            assert_eq!(
-                c.as_slice(),
-                c_ref.as_slice(),
-                "m={m} k={k} n={n} threads={threads}"
-            );
+            let case = f64_case(a, b, mk(m, n, 77), 1.0, 1.0);
+            case.assert_grid(&format!("f64 split {m}x{k}x{n}"), &[threads], &[], &case.reference());
+        }
+        // Half storage, 37×23×19, against the scalar serial run.
+        let (a, b) = (seeded_f32(37, 23, 5), seeded_f32(23, 19, 6));
+        for kind in HalfKind::ALL {
+            let case = half_case(kind, &a, &b, Mat::zeros(37, 19), 1.0, 0.0);
+            case.assert_grid(&format!("{kind} threads"), &[1, 2, 3, 5], &[], &case.reference());
+        }
+        // Half storage, 13×31×17: the widening-pack contract — bitwise
+        // equal to the f32 GEMM on the pre-widened operands, which runs
+        // the same grid itself.
+        let (a, b, c0) = (seeded_f32(13, 31, 2), seeded_f32(31, 17, 3), seeded_f32(13, 17, 4));
+        for kind in HalfKind::ALL {
+            let case = half_case(kind, &a, &b, c0.clone(), 1.5, 0.5);
+            let wide = Case {
+                a: case.a.widen(),
+                b: case.b_elems.clone(),
+                bt: case.b_elems.transpose(),
+                b_elems: case.b_elems.clone(),
+                c0: c0.clone(),
+                alpha: 1.5f32,
+                beta: 0.5f32,
+            };
+            let want = wide.reference();
+            wide.assert_grid(&format!("f32 widened {kind}"), &[2], &[], &want);
+            case.assert_grid(&format!("{kind} widened"), &[2], &[], &want);
         }
     }
 
+    fn seeded_f32(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
+        let mut rng = me_numerics::Rng64::seed_from_u64(seed);
+        Mat::from_fn(rows, cols, |_, _| (rng.next_f64() * 4.0 - 2.0) as f32)
+    }
+
     #[test]
-    fn parallel_on_explicit_pool_more_threads_than_panels() {
-        // A pool wider than the number of MR panels must leave the extra
-        // workers idle, not misindex.
-        let pool = me_par::WorkerPool::new(16);
-        let a = mk(9, 6, 41);
-        let b = mk(6, 7, 42);
-        let mut c_ref = Mat::zeros(9, 7);
-        gemm_tiled(1.0, &a, &b, 0.0, &mut c_ref);
-        let mut c = Mat::zeros(9, 7);
-        gemm_parallel_on(&pool, 1.0, &a, &b, 0.0, &mut c);
-        assert_eq!(c.as_slice(), c_ref.as_slice());
+    fn beta_zero_overwrites_non_finite_c() {
+        // Reference-DGEMM semantics: with β = 0 the old C is never read,
+        // so NaN or ±Inf in it must not survive. Each call on a poisoned
+        // C must give the bits of the same call on a zeroed C.
+        fn same_as_zeroed<T: Scalar>(label: &str, poison: T, run: &dyn Fn(&mut Mat<T>)) {
+            let mut zeroed = Mat::zeros(16, 16);
+            run(&mut zeroed);
+            let mut poisoned = Mat::from_fn(16, 16, |_, _| poison);
+            run(&mut poisoned);
+            assert_eq!(bits(&poisoned), bits(&zeroed), "{label} with C = {poison}");
+        }
+        let (a, b) = (mk(16, 16, 91), mk(16, 16, 92));
+        let (a32, b32) = (seeded_f32(16, 16, 93), seeded_f32(16, 16, 94));
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for algo in [GemmAlgo::Naive, GemmAlgo::Blocked, GemmAlgo::Tiled, GemmAlgo::Parallel] {
+                same_as_zeroed(&format!("{algo:?}"), poison, &|c| gemm(algo, 1.5, &a, &b, 0.0, c));
+            }
+            for v in available_variants() {
+                let packed = pack_b_matrix(&b, blocking_for(v));
+                for t in [1, 3] {
+                    let plan = GemmPlan::new(v).with_workers(Workers::Threads(t));
+                    same_as_zeroed(&format!("{v} fresh t={t}"), poison, &|c| {
+                        plan.run(1.5, &a, &b, 0.0, c)
+                    });
+                    same_as_zeroed(&format!("{v} prepacked t={t}"), poison, &|c| {
+                        plan.run(1.5, &a, &packed, 0.0, c)
+                    });
+                    for kind in HalfKind::ALL {
+                        let ha = HalfMat::from_f32(kind, &a32);
+                        let hb = HalfMat::from_f32(kind, &b32);
+                        same_as_zeroed(&format!("{v} {kind} t={t}"), poison as f32, &|c| {
+                            plan.run(1.5, &ha, &hb, 0.0, c)
+                        });
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -778,49 +881,41 @@ mod tests {
         // result bytes must never vary (no scheduling-order dependence).
         let a = mk(40, 33, 51);
         let b = mk(33, 22, 52);
+        let plan = GemmPlan::new(selected_kernel()).with_workers(Workers::Threads(4));
         let mut first = Mat::zeros(40, 22);
-        gemm_parallel(1.0, &a, &b, 0.0, &mut first, 4);
+        plan.run(1.0, &a, &b, 0.0, &mut first);
         for _ in 0..5 {
             let mut c = Mat::zeros(40, 22);
-            gemm_parallel(1.0, &a, &b, 0.0, &mut c, 4);
+            plan.run(1.0, &a, &b, 0.0, &mut c);
             assert_eq!(c.as_slice(), first.as_slice());
         }
     }
 
     #[test]
+    fn unsupported_variant_request_still_correct() {
+        // Requesting Avx2 must work everywhere: honored when detected,
+        // degraded to Scalar otherwise — never a fault, and always the
+        // same bits either way.
+        let a = mk(20, 33, 141);
+        let b = mk(33, 17, 142);
+        let mut c_ref = Mat::zeros(20, 17);
+        GemmPlan::new(KernelVariant::Scalar).run(1.0, &a, &b, 0.0, &mut c_ref);
+        let mut c = Mat::zeros(20, 17);
+        GemmPlan::new(KernelVariant::Avx2).run(1.0, &a, &b, 0.0, &mut c);
+        assert_eq!(c.as_slice(), c_ref.as_slice());
+    }
+
+    #[test]
     fn tiled_applies_mc_blocking_beyond_one_block() {
-        // m > mc exercises the restored MC cache-block loop.
+        // m > mc exercises the MC cache-block loop.
         let mc = Blocking::DEFAULT.mc;
         let a = mk(2 * mc + 5, 37, 61);
         let b = mk(37, 19, 62);
         let mut c_ref = Mat::zeros(2 * mc + 5, 19);
         gemm_naive(1.0, &a, &b, 0.0, &mut c_ref);
         let mut c = Mat::zeros(2 * mc + 5, 19);
-        gemm_tiled(1.0, &a, &b, 0.0, &mut c);
+        gemm(GemmAlgo::Tiled, 1.0, &a, &b, 0.0, &mut c);
         assert!(c.max_abs_diff(&c_ref) < 1e-10);
-    }
-
-    #[test]
-    fn prepacked_matches_fresh_bitwise() {
-        // The in-crate smoke of the prepacked contract; the full
-        // variant/shape/blocking grid lives in
-        // tests/prepacked_differential.rs.
-        let a = mk(13, 37, 71);
-        let b = mk(37, 29, 72);
-        let c0 = mk(13, 29, 73);
-        for v in available_variants() {
-            let blocking = blocking_for(v);
-            let packed = pack_b_matrix(&b, blocking);
-            let mut c_fresh = c0.clone();
-            gemm_tiled_with_blocking(v, blocking, 1.25, &a, &b, -0.5, &mut c_fresh);
-            let mut c_pre = c0.clone();
-            gemm_tiled_prepacked_with(v, 1.25, &a, &packed, -0.5, &mut c_pre);
-            assert_eq!(c_pre.as_slice(), c_fresh.as_slice(), "{v} prepacked differs");
-            let pool = me_par::WorkerPool::new(3);
-            let mut c_par = c0.clone();
-            gemm_parallel_on_prepacked_with(&pool, v, 1.25, &a, &packed, -0.5, &mut c_par);
-            assert_eq!(c_par.as_slice(), c_fresh.as_slice(), "{v} parallel prepacked differs");
-        }
     }
 
     #[test]
@@ -830,15 +925,14 @@ mod tests {
         let a = mk(40, 300, 81);
         let b = mk(300, 33, 82);
         let c0 = mk(40, 33, 83);
+        let plan = |blocking| GemmPlan::new(KernelVariant::Scalar).with_blocking(blocking);
         let mut c_ref = c0.clone();
-        gemm_tiled_with_blocking(KernelVariant::Scalar, Blocking::DEFAULT, 1.0, &a, &b, 1.0, &mut c_ref);
+        plan(Blocking::DEFAULT).run(1.0, &a, &b, 1.0, &mut c_ref);
         let mut c = c0.clone();
-        let same_kc = Blocking { mc: 8, kc: 256, nc: 16 };
-        gemm_tiled_with_blocking(KernelVariant::Scalar, same_kc, 1.0, &a, &b, 1.0, &mut c);
+        plan(Blocking { mc: 8, kc: 256, nc: 16 }).run(1.0, &a, &b, 1.0, &mut c);
         assert_eq!(c.as_slice(), c_ref.as_slice(), "mc/nc must be bitwise-invisible");
         let mut c = c0.clone();
-        let small_kc = Blocking { mc: 64, kc: 128, nc: 4096 };
-        gemm_tiled_with_blocking(KernelVariant::Scalar, small_kc, 1.0, &a, &b, 1.0, &mut c);
+        plan(Blocking { mc: 64, kc: 128, nc: 4096 }).run(1.0, &a, &b, 1.0, &mut c);
         assert!(c.max_abs_diff(&c_ref) < 1e-10, "kc change must stay numerically correct");
     }
 

@@ -5,7 +5,7 @@
 //! parameters are *searched*, not assumed. This module replaces the old
 //! hard-coded `KC = 256` / `MC = 64` with a timed sweep over a small
 //! `(mc, kc, nc)` candidate grid per available [`KernelVariant`], run
-//! through [`crate::blas3::gemm_tiled_with_blocking`] (no global state is
+//! through a [`GemmPlan`] with the candidate pinned (no global state is
 //! touched while timing), persisted to `artifacts/autotune.json` and
 //! installed as runtime overrides via [`apply`].
 //!
@@ -21,7 +21,7 @@
 //! shapes with `k ≤ NR + 1`, which stay single-chunk for any such `kc`.
 
 use super::blocking::{blocking_env_configured, set_blocking_override, Blocking};
-use super::gemm_tiled_with_blocking;
+use super::GemmPlan;
 use super::ukernel::{available_variants, KernelVariant};
 use crate::mat::Mat;
 use std::io::Write as _;
@@ -101,9 +101,9 @@ fn bench_matrix(rows: usize, cols: usize, seed: u64) -> Mat<f64> {
 
 /// Time every [`candidate_grid`] triple for every host-supported variant
 /// and return the per-variant winners. Pure with respect to the global
-/// blocking table: timing goes through
-/// [`gemm_tiled_with_blocking`], so concurrent GEMMs elsewhere in the
-/// process are unaffected until [`apply`] installs the winners.
+/// blocking table: timing pins each candidate in a [`GemmPlan`], so
+/// concurrent GEMMs elsewhere in the process are unaffected until
+/// [`apply`] installs the winners.
 pub fn sweep(config: SweepConfig) -> AutotuneResult {
     let (m, k, n) = (config.m.max(1), config.k.max(1), config.n.max(1));
     let reps = config.reps.max(1);
@@ -116,12 +116,13 @@ pub fn sweep(config: SweepConfig) -> AutotuneResult {
         for cand in candidate_grid() {
             // One untimed warm-up sizes the pack scratch so the timed
             // reps see the steady (zero-allocation) state.
+            let plan = GemmPlan::new(variant).with_blocking(cand);
             let mut c = Mat::zeros(m, n);
-            gemm_tiled_with_blocking(variant, cand, 1.0, &a, &b, 0.0, &mut c);
+            plan.run(1.0, &a, &b, 0.0, &mut c);
             let mut best_secs = f64::INFINITY;
             for _ in 0..reps {
                 let t0 = Instant::now();
-                gemm_tiled_with_blocking(variant, cand, 1.0, &a, &b, 0.0, &mut c);
+                plan.run(1.0, &a, &b, 0.0, &mut c);
                 best_secs = best_secs.min(t0.elapsed().as_secs_f64());
             }
             let gflops = flops / best_secs.max(1e-12) / 1e9;
@@ -305,7 +306,7 @@ mod tests {
                     gflops: 1.5,
                 },
                 TunedEntry {
-                    variant: KernelVariant::Portable,
+                    variant: KernelVariant::Avx512,
                     blocking: Blocking { mc: 128, kc: 512, nc: 4096 },
                     gflops: 9.25,
                 },
@@ -335,6 +336,17 @@ mod tests {
         let bad = "{\"version\": 1, \"shape\": {\"m\":1,\"k\":1,\"n\":1},\n \
                    \"entries\": [{\"variant\": \"warp9\", \"mc\":1,\"kc\":1,\"nc\":8,\"gflops\":1}]}";
         assert!(from_json(bad).is_none());
+    }
+
+    #[test]
+    fn committed_artifact_parses() {
+        // A variant rename or removal must not strand the checked-in
+        // artifact: `read_artifact` rejects the whole file on one
+        // unknown variant, which would make `ensure_autotuned` error.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/autotune.json");
+        let parsed = read_artifact(&path).expect("committed artifact must parse");
+        let parsed = parsed.expect("artifacts/autotune.json is committed");
+        assert!(!parsed.entries.is_empty());
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl BlockingDispatch {
     /// The blocking GEMMs with `variant` run right now: the runtime
     /// override if installed, else the startup default.
     pub fn for_variant(&self, variant: KernelVariant) -> Blocking {
-        let i = variant_index(variant);
+        let i = variant.index();
         Blocking::decode(self.overrides[i].load(Ordering::Relaxed))
             .or_else(|| Blocking::decode(self.defaults[i]))
             .unwrap_or(Blocking::DEFAULT)
@@ -161,23 +161,14 @@ impl BlockingDispatch {
     /// use it for A/B arms.
     pub fn set_override(&self, variant: KernelVariant, b: Option<Blocking>) {
         let raw = b.map(Blocking::encode).unwrap_or(0);
-        self.overrides[variant_index(variant)].store(raw, Ordering::Relaxed);
+        self.overrides[variant.index()].store(raw, Ordering::Relaxed);
     }
 
     /// Whether this variant's startup default came from an explicit
     /// `ME_BLOCKING` entry. The autotune apply step skips such variants:
     /// the knob priority is `ME_BLOCKING` > autotune artifact > defaults.
     pub fn is_env_configured(&self, variant: KernelVariant) -> bool {
-        self.env_set[variant_index(variant)]
-    }
-}
-
-fn variant_index(v: KernelVariant) -> usize {
-    match v {
-        KernelVariant::Scalar => 0,
-        KernelVariant::Portable => 1,
-        KernelVariant::Avx2 => 2,
-        KernelVariant::Avx512 => 3,
+        self.env_set[variant.index()]
     }
 }
 
@@ -191,7 +182,7 @@ fn parse_env(raw: &str) -> Option<[Option<Blocking>; KernelVariant::ALL.len()]> 
         match entry.split_once('=') {
             Some((name, triple)) => {
                 let v = KernelVariant::parse(name)?;
-                out[variant_index(v)] = Some(Blocking::parse(triple)?);
+                out[v.index()] = Some(Blocking::parse(triple)?);
             }
             None => {
                 let b = Blocking::parse(entry)?;
@@ -265,7 +256,7 @@ mod tests {
         let t = BlockingDispatch::from_env(Some("avx2=128,512,4096;scalar=32,64,256"));
         assert_eq!(t.for_variant(KernelVariant::Avx2), Blocking { mc: 128, kc: 512, nc: 4096 });
         assert_eq!(t.for_variant(KernelVariant::Scalar), Blocking { mc: 32, kc: 64, nc: 256 });
-        assert_eq!(t.for_variant(KernelVariant::Portable), Blocking::DEFAULT);
+        assert_eq!(t.for_variant(KernelVariant::Avx512), Blocking::DEFAULT);
         // Malformed values fall back wholesale (no partial application).
         let t = BlockingDispatch::from_env(Some("avx2=128,512,4096;garbage"));
         assert_eq!(t.for_variant(KernelVariant::Avx2), Blocking::DEFAULT);
@@ -275,10 +266,10 @@ mod tests {
     fn override_wins_and_clears() {
         let t = BlockingDispatch::from_env(None);
         let tuned = Blocking { mc: 96, kc: 192, nc: 768 };
-        t.set_override(KernelVariant::Portable, Some(tuned));
-        assert_eq!(t.for_variant(KernelVariant::Portable), tuned);
+        t.set_override(KernelVariant::Avx512, Some(tuned));
+        assert_eq!(t.for_variant(KernelVariant::Avx512), tuned);
         assert_eq!(t.for_variant(KernelVariant::Scalar), Blocking::DEFAULT, "per-variant only");
-        t.set_override(KernelVariant::Portable, None);
-        assert_eq!(t.for_variant(KernelVariant::Portable), Blocking::DEFAULT);
+        t.set_override(KernelVariant::Avx512, None);
+        assert_eq!(t.for_variant(KernelVariant::Avx512), Blocking::DEFAULT);
     }
 }

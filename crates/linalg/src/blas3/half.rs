@@ -1,33 +1,28 @@
-//! Half-precision (f16 / bf16) GEMM via widening packs over the f32
-//! micro-kernels.
+//! Half-precision (f16 / bf16) operands for the packed GEMM core.
 //!
 //! Production half-precision GEMMs (the `gemm-f16` pattern) do not build
 //! a separate 16-bit kernel family: they store operands in 16 bits and
 //! widen to f32 *inside the pack loops*, so the hot micro-kernel is the
-//! ordinary f32 one — here the runtime-dispatched [`ukernel`] family,
-//! including the AVX2 and AVX-512 intrinsics paths. Widening binary16 or
-//! bfloat16 to binary32 is exact (every half value is representable),
-//! so the compute path inherits the DESIGN §9 bitwise-identity contract
-//! unchanged: for a fixed `kc` grid, every kernel variant and every
-//! thread count produces the same f32 bits.
+//! ordinary f32 one — here the runtime-dispatched [`super::ukernel`]
+//! family, including the AVX2 and AVX-512 intrinsics paths. [`HalfMat`]
+//! is a [`GemmOperand`] whose widening is the exact binary16/bfloat16 →
+//! binary32 conversion, so [`super::GemmPlan::run`] multiplies it on the
+//! one packed core and the DESIGN §9 bitwise-identity contract carries
+//! over unchanged: for a fixed `kc` grid, every kernel variant and every
+//! thread count produces the same f32 bits, equal to the f32 GEMM on the
+//! pre-widened operands.
 //!
-//! Two entry families live here:
-//!
-//! - [`gemm_half`] / [`gemm_half_with`] / [`gemm_half_parallel_with`] —
-//!   the full blocked GEMM `C ← α·widen(A)·widen(B) + β·C` mirroring
-//!   [`super::gemm_tiled_with`]'s NC→KC→MC loop nest, for half-stored
-//!   operands of any shape.
-//! - [`gemm_half_f32`] — the strided row-panel "engine call" primitive
-//!   mirroring [`super::gemm_i8_i32`]: one call is one emulated FP16
-//!   matrix-engine product over a k-chunk, with `B` supplied transposed.
-//!   The `me-ozaki` HostF16 backend drives this for its slice products.
+//! [`gemm_half_f32`] is the strided "engine call" mirroring
+//! [`super::gemm_i8_i32`]: one call is one emulated FP16 matrix-engine
+//! product over a k-chunk, with `B` supplied transposed. The `me-ozaki`
+//! HostF16 backend drives it for its slice products.
 //!
 //! Narrowing (f32 → 16 bits) happens only in [`HalfMat`] construction and
 //! uses the round-to-nearest-even codecs from `me_numerics::formats`
 //! ([`F16Bits`] / [`Bf16Bits`]); the compute path never rounds to 16 bits.
 
-use super::ukernel::{self, KernelVariant, MR, NR};
-use super::{blocking_for, Blocking};
+use super::ukernel::KernelVariant;
+use super::{gemm_packed_panel, BOperand, Blocking, GemmOperand};
 use crate::mat::{Mat, MatMut};
 use me_numerics::{Bf16Bits, F16Bits};
 
@@ -80,8 +75,8 @@ impl std::fmt::Display for HalfKind {
 /// A dense row-major matrix stored as 16-bit half-precision words.
 ///
 /// Construction narrows from f32 with round-to-nearest-even; reads widen
-/// exactly. The GEMM entries below consume the raw bits directly and
-/// widen in their pack loops, so a `HalfMat` is exactly the memory a
+/// exactly. The packed GEMM core consumes the raw bits directly and
+/// widens in its pack loops, so a `HalfMat` is exactly the memory a
 /// half-precision matrix engine would stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HalfMat {
@@ -139,258 +134,68 @@ impl HalfMat {
     }
 
     /// The whole matrix widened exactly to f32 (the reference operand for
-    /// differential tests: `gemm_half` on `self` must be bitwise equal to
+    /// differential tests: a half GEMM on `self` must be bitwise equal to
     /// the f32 GEMM on `self.widen()`).
     pub fn widen(&self) -> Mat<f32> {
         Mat::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
     }
 }
 
-/// Pack the `mc × kc` block of half-stored A at (`row0`, `kb`) into MR-row
-/// f32 micro-panels, widening each 16-bit word as it lands. Layout is
-/// identical to [`super::pack_a`] on the pre-widened matrix (widening is
-/// exact and elementwise), which is the §15 widening-pack contract.
-// me-verify: hot
-fn pack_a_half(
+impl GemmOperand for HalfMat {
+    type Elem = f32;
+    type Stored = u16;
+
+    fn shape(&self) -> (usize, usize) {
+        HalfMat::shape(self)
+    }
+
+    fn data(&self) -> &[u16] {
+        &self.data
+    }
+
+    #[inline(always)]
+    fn widen(&self, x: u16) -> f32 {
+        self.kind.widen(x)
+    }
+
+    fn counter(variant: KernelVariant) -> &'static str {
+        variant.half_counter()
+    }
+}
+
+/// `rows` half-stored lines of which the first `cols` words are used, at
+/// stride `ld` — the engine call's operand view.
+struct HalfLines<'a> {
     kind: HalfKind,
-    a: &[u16],
-    lda: usize,
-    row0: usize,
-    mc: usize,
-    kb: usize,
-    kc: usize,
-    buf: &mut [f32],
-) {
-    for it in 0..mc.div_ceil(MR) {
-        let tile = &mut buf[it * MR * kc..(it + 1) * MR * kc];
-        for r in 0..MR {
-            let li = it * MR + r;
-            if li < mc {
-                let arow = &a[(row0 + li) * lda + kb..(row0 + li) * lda + kb + kc];
-                for (p, &v) in arow.iter().enumerate() {
-                    tile[p * MR + r] = kind.widen(v);
-                }
-            } else {
-                for p in 0..kc {
-                    tile[p * MR + r] = 0.0;
-                }
-            }
-        }
+    rows: usize,
+    cols: usize,
+    ld: usize,
+    data: &'a [u16],
+}
+
+impl GemmOperand for HalfLines<'_> {
+    type Elem = f32;
+    type Stored = u16;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
-}
 
-/// Pack the `kc × ncb` window of half-stored B (row-major `k × n`) at
-/// (`kb`, `jb`) into NR-column f32 micro-panels, widening in the loop.
-/// Layout mirrors [`super::pack_b`], zero-padded past the matrix edge.
-// me-verify: hot
-fn pack_b_half(
-    kind: HalfKind,
-    b: &[u16],
-    ldb: usize,
-    kb: usize,
-    kc: usize,
-    jb: usize,
-    ncb: usize,
-    buf: &mut [f32],
-) {
-    for p in 0..kc {
-        let brow = &b[(kb + p) * ldb..(kb + p) * ldb + ldb];
-        for jt in 0..ncb.div_ceil(NR) {
-            let j0 = jb + jt * NR;
-            let w = NR.min(jb + ncb - j0);
-            let dst = &mut buf[jt * NR * kc + p * NR..jt * NR * kc + (p + 1) * NR];
-            for (d, &v) in dst[..w].iter_mut().zip(&brow[j0..j0 + w]) {
-                *d = kind.widen(v);
-            }
-            for v in &mut dst[w..] {
-                *v = 0.0;
-            }
-        }
+    fn data(&self) -> &[u16] {
+        self.data
     }
-}
 
-/// Pack `ncb` rows of a *transposed* half-stored B (`n × k` line-major,
-/// row `j` holding column `j` of the logical B) into the same NR-column
-/// micro-panel layout as [`pack_b_half`]. The engine-call primitive uses
-/// this so both operands stream contiguously from the caller's slices.
-// me-verify: hot
-fn pack_bt_half(
-    kind: HalfKind,
-    bt: &[u16],
-    ldb: usize,
-    kc: usize,
-    jb: usize,
-    ncb: usize,
-    buf: &mut [f32],
-) {
-    for jt in 0..ncb.div_ceil(NR) {
-        for jj in 0..NR {
-            let j = jt * NR + jj;
-            if j < ncb {
-                let line = &bt[(jb + j) * ldb..(jb + j) * ldb + kc];
-                for (p, &v) in line.iter().enumerate() {
-                    buf[jt * NR * kc + p * NR + jj] = kind.widen(v);
-                }
-            } else {
-                for p in 0..kc {
-                    buf[jt * NR * kc + p * NR + jj] = 0.0;
-                }
-            }
-        }
+    fn ld(&self) -> usize {
+        self.ld
     }
-}
 
-/// The half-precision packing + micro-kernel core: computes
-/// `C_panel ← α·widen(A[r0..r0+rows])·widen(B) + β·C_panel` on a borrowed
-/// panel view, mirroring [`super::gemm_packed_panel`]'s NC→KC→MC loop
-/// nest exactly — same scratch sizing, same spans, same scalar write-back
-/// — with the widening packs substituted. `variant` must be resolved and
-/// `blocking` normalized (the public fronts do both).
-// me-verify: hot
-#[allow(clippy::too_many_arguments)]
-fn gemm_half_packed_panel(
-    variant: KernelVariant,
-    blocking: Blocking,
-    alpha: f32,
-    a: &HalfMat,
-    b: &HalfMat,
-    beta: f32,
-    c: &mut MatMut<'_, f32>,
-    r0: usize,
-) {
-    let rows = c.rows();
-    let n = c.cols();
-    let k = a.cols();
-    for v in c.as_mut_slice() {
-        *v *= beta;
+    #[inline(always)]
+    fn widen(&self, x: u16) -> f32 {
+        self.kind.widen(x)
     }
-    if rows == 0 || n == 0 || k == 0 {
-        return;
-    }
-    me_trace::counter_add(variant.half_counter(), 1);
-    let Blocking { mc: mc_blk, kc: kc_blk, nc: nc_blk } = blocking;
-    let a_len = mc_blk.div_ceil(MR) * MR * kc_blk.min(k);
-    let b_len = nc_blk.min(n).div_ceil(NR) * NR * kc_blk.min(k);
-    crate::mat::with_pack_scratch::<f32, _>(a_len, b_len, |apack, bpack| {
-        for jb in (0..n).step_by(nc_blk) {
-            let ncb = nc_blk.min(n - jb);
-            let ntiles_n = ncb.div_ceil(NR);
-            for kb in (0..k).step_by(kc_blk) {
-                let kc = kc_blk.min(k - kb);
-                {
-                    let _t = me_trace::span("gemm.pack_b", "linalg");
-                    pack_b_half(
-                        b.kind,
-                        &b.data,
-                        b.cols,
-                        kb,
-                        kc,
-                        jb,
-                        ncb,
-                        &mut bpack[..ntiles_n * NR * kc],
-                    );
-                }
-                let bpanel = &bpack[..ntiles_n * NR * kc];
-                for ib in (0..rows).step_by(mc_blk) {
-                    let mc = mc_blk.min(rows - ib);
-                    {
-                        let _t = me_trace::span("gemm.pack_a", "linalg");
-                        pack_a_half(a.kind, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
-                    }
-                    let _t = me_trace::span("gemm.micro_kernel", "linalg");
-                    for it in 0..mc.div_ceil(MR) {
-                        let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-                        let mr = MR.min(mc - it * MR);
-                        for jt in 0..ntiles_n {
-                            let bp = &bpanel[jt * NR * kc..jt * NR * kc + NR * kc];
-                            let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                            let j0 = jb + jt * NR;
-                            let nc = NR.min(n - j0);
-                            for (r, accr) in acc.iter().enumerate().take(mr) {
-                                let crow = &mut c.row_mut(ib + it * MR + r)[j0..j0 + nc];
-                                for (cv, &av) in crow.iter_mut().zip(accr) {
-                                    *cv = alpha.mul_add(av, *cv);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
 
-fn check_half_shapes(a: &HalfMat, b: &HalfMat, c: &Mat<f32>) {
-    assert_eq!(a.cols(), b.rows(), "gemm_half: inner dimension mismatch");
-    assert_eq!(a.rows(), c.rows(), "gemm_half: C rows mismatch");
-    assert_eq!(b.cols(), c.cols(), "gemm_half: C cols mismatch");
-    assert_eq!(a.kind(), b.kind(), "gemm_half: mixed storage kinds");
-}
-
-/// `C ← α·widen(A)·widen(B) + β·C` on the runtime-selected kernel.
-pub fn gemm_half(alpha: f32, a: &HalfMat, b: &HalfMat, beta: f32, c: &mut Mat<f32>) {
-    gemm_half_with(super::selected_kernel(), alpha, a, b, beta, c);
-}
-
-/// [`gemm_half`] with an explicitly pinned micro-kernel variant
-/// (sanitized through [`KernelVariant::resolve_supported`]).
-pub fn gemm_half_with(
-    variant: KernelVariant,
-    alpha: f32,
-    a: &HalfMat,
-    b: &HalfMat,
-    beta: f32,
-    c: &mut Mat<f32>,
-) {
-    check_half_shapes(a, b, c);
-    let variant = variant.resolve_supported();
-    let _t = me_trace::span(variant.tag(), "linalg");
-    let mut view = c.as_view_mut();
-    gemm_half_packed_panel(
-        variant,
-        blocking_for(variant).normalized(),
-        alpha,
-        a,
-        b,
-        beta,
-        &mut view,
-        0,
-    );
-}
-
-/// [`gemm_half_with`] fanned out over disjoint row panels of C, bitwise
-/// identical to the serial front for every thread count (the widening
-/// packs preserve the §9 contract: per-element FMA order depends only on
-/// the `kc` grid). `threads == 0` resolves via [`me_par::resolve_threads`].
-pub fn gemm_half_parallel_with(
-    variant: KernelVariant,
-    alpha: f32,
-    a: &HalfMat,
-    b: &HalfMat,
-    beta: f32,
-    c: &mut Mat<f32>,
-    threads: usize,
-) {
-    check_half_shapes(a, b, c);
-    let m = a.rows();
-    let nthreads = me_par::resolve_threads(threads).min(m.div_ceil(MR).max(1));
-    if nthreads <= 1 || m < 2 * MR || b.cols() == 0 {
-        gemm_half_with(variant, alpha, a, b, beta, c);
-        return;
-    }
-    let variant = variant.resolve_supported();
-    let blocking = blocking_for(variant).normalized();
-    let mut run = |pool: &me_par::WorkerPool| {
-        let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
-        let mut panels: Vec<(usize, MatMut<'_, f32>)> = c.split_rows_mut(rows_per).collect();
-        pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
-            gemm_half_packed_panel(variant, blocking, alpha, a, b, beta, panel, *r0);
-        });
-    };
-    if nthreads == me_par::global().threads() {
-        run(me_par::global());
-    } else {
-        run(&me_par::WorkerPool::new(nthreads));
+    fn counter(variant: KernelVariant) -> &'static str {
+        variant.half_counter()
     }
 }
 
@@ -400,13 +205,14 @@ pub fn gemm_half_parallel_with(
 /// in f32 with exactly one correctly-rounded FMA per ascending `p` — the
 /// §9 contract, so every kernel variant returns the same bits and the
 /// chunk sums are bit-identical to a scalar `mul_add` chain over the
-/// widened operands.
+/// widened operands (a chain that underflows to −0 is returned as +0).
 ///
 /// `a` holds `m` rows at stride `lda ≥ kc`; `bt` holds `n` rows of the
 /// *transposed* right operand at stride `ldb ≥ kc`. One call is one
 /// "engine call" of the emulated FP16 matrix engine (the `me-ozaki`
 /// HostF16 backend's slice-product primitive), mirroring
-/// [`super::gemm_i8_i32`]'s shape.
+/// [`super::gemm_i8_i32`]'s shape. It is the packed core with α = 1,
+/// β = 0 and one k-chunk.
 // me-verify: hot
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_half_f32(
@@ -423,41 +229,18 @@ pub fn gemm_half_f32(
 ) {
     assert!(lda >= kc && ldb >= kc, "gemm_half_f32: stride below chunk length");
     assert!(out.len() >= m * n, "gemm_half_f32: output too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let variant = variant.resolve_supported();
-    me_trace::counter_add(variant.half_counter(), 1);
-    if kc == 0 {
-        out[..m * n].fill(0.0);
-        return;
-    }
-    let a_len = m.div_ceil(MR) * MR * kc;
-    let b_len = n.div_ceil(NR) * NR * kc;
-    crate::mat::with_pack_scratch::<f32, _>(a_len, b_len, |apack, bpack| {
-        pack_a_half(kind, a, lda, 0, m, 0, kc, apack);
-        pack_bt_half(kind, bt, ldb, kc, 0, n, bpack);
-        for it in 0..m.div_ceil(MR) {
-            let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-            let mr = MR.min(m - it * MR);
-            for jt in 0..n.div_ceil(NR) {
-                let bp = &bpack[jt * NR * kc..(jt + 1) * NR * kc];
-                let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                let j0 = jt * NR;
-                let nc = NR.min(n - j0);
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    let orow = &mut out[(it * MR + r) * n + j0..(it * MR + r) * n + j0 + nc];
-                    orow.copy_from_slice(&accr[..nc]);
-                }
-            }
-        }
-    });
+    let a = HalfLines { kind, rows: m, cols: kc, ld: lda, data: a };
+    let bt = HalfLines { kind, rows: n, cols: kc, ld: ldb, data: bt };
+    let blocking = Blocking { mc: m, kc, nc: n }.normalized();
+    let mut c = MatMut::from_slice(m, n, &mut out[..m * n]);
+    let (variant, b) = (variant.resolve_supported(), BOperand::Transposed(&bt));
+    gemm_packed_panel(variant, blocking, 1.0, &a, kc, &b, 0.0, &mut c, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::{available_variants, gemm_naive, gemm_tiled_with};
+    use crate::blas3::{available_variants, gemm_naive, selected_kernel, GemmPlan};
     use me_numerics::Rng64;
 
     fn seeded_mat(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
@@ -477,52 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_half_matches_widened_f32_gemm_bitwise() {
-        // The widening-pack contract: gemm_half on half storage must be
-        // bitwise equal to the f32 tiled GEMM on the pre-widened operands
-        // (same variant, same blocking), for both storage kinds.
-        let (m, k, n) = (13, 31, 17);
-        let a = seeded_mat(m, k, 2);
-        let b = seeded_mat(k, n, 3);
-        let c0 = seeded_mat(m, n, 4);
-        for kind in HalfKind::ALL {
-            let ha = HalfMat::from_f32(kind, &a);
-            let hb = HalfMat::from_f32(kind, &b);
-            for v in available_variants() {
-                let mut want = c0.clone();
-                gemm_tiled_with(v, 1.5f32, &ha.widen(), &hb.widen(), 0.5f32, &mut want);
-                let mut got = c0.clone();
-                gemm_half_with(v, 1.5f32, &ha, &hb, 0.5f32, &mut got);
-                assert_eq!(got.as_slice(), want.as_slice(), "{kind} variant {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_half_parallel_matches_serial_bitwise() {
-        let (m, k, n) = (37, 23, 19);
-        let a = seeded_mat(m, k, 5);
-        let b = seeded_mat(k, n, 6);
-        for kind in HalfKind::ALL {
-            let ha = HalfMat::from_f32(kind, &a);
-            let hb = HalfMat::from_f32(kind, &b);
-            let mut want = Mat::zeros(m, n);
-            gemm_half_with(KernelVariant::Scalar, 1.0, &ha, &hb, 0.0, &mut want);
-            for threads in [1usize, 2, 3, 5] {
-                for v in available_variants() {
-                    let mut got = Mat::zeros(m, n);
-                    gemm_half_parallel_with(v, 1.0, &ha, &hb, 0.0, &mut got, threads);
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
-                        "{kind} variant {v} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gemm_half_is_close_to_f64_reference() {
         // Sanity on accuracy, not bits: a half GEMM agrees with the f64
         // reference to the storage format's relative precision.
@@ -537,7 +274,7 @@ mod tests {
             let ha = HalfMat::from_f32(kind, &a);
             let hb = HalfMat::from_f32(kind, &b);
             let mut got = Mat::zeros(m, n);
-            gemm_half(1.0, &ha, &hb, 0.0, &mut got);
+            GemmPlan::new(selected_kernel()).run(1.0, &ha, &hb, 0.0, &mut got);
             for i in 0..m {
                 for j in 0..n {
                     let err = (got[(i, j)] as f64 - refc[(i, j)]).abs();

@@ -4,8 +4,8 @@
 //! β-bit integers (β ≤ 6, so every slice value is in `[-64, 64]`) and
 //! needs a host kernel computing `Σ a[p]·b[p]` exactly in i32. Unlike
 //! the floating-point micro-kernels in `ukernel.rs`, integer addition is
-//! associative: every variant — the strict serial reference, the
-//! unrolled portable lanes, the AVX2 `vpmaddubsw` kernel — returns the
+//! associative: every variant — the strict serial reference and the
+//! AVX2 `vpmaddubsw` kernel — returns the
 //! *same* i32 by arithmetic identity, not by a rounding-order contract.
 //! `tests/int8_differential.rs` pins that agreement over a shape ×
 //! variant × thread grid anyway.
@@ -47,19 +47,13 @@ pub fn dot_i8(variant: KernelVariant, a: &[i8], b: &[i8]) -> i32 {
         "dot_i8: an (-128, -128) pair is outside the maddubs fixup domain"
     );
     match variant.resolve_supported() {
-        KernelVariant::Scalar => dot_i8_scalar(a, b),
-        KernelVariant::Portable => dot_i8_portable(a, b),
         KernelVariant::Avx2 => dot_i8_avx2_entry(a, b),
         // AVX512F alone has no byte multiply-add (that needs AVX512BW,
         // which we do not require); every avx512f host also has AVX2, so
-        // the integer path rides the `vpmaddubsw` kernel unchanged.
-        KernelVariant::Avx512 => {
-            if super::ukernel::avx2_supported() {
-                dot_i8_avx2_entry(a, b)
-            } else {
-                dot_i8_portable(a, b)
-            }
-        }
+        // the integer path rides the `vpmaddubsw` kernel unchanged, and
+        // falls back to the scalar chain on a host without it.
+        KernelVariant::Avx512 if super::ukernel::avx2_supported() => dot_i8_avx2_entry(a, b),
+        _ => dot_i8_scalar(a, b),
     }
 }
 
@@ -115,32 +109,7 @@ pub fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     s as i32
 }
 
-/// Number of independent i32 accumulator lanes in the portable kernel.
-const LANES: usize = 16;
-
-/// Portable unrolled kernel: [`LANES`] independent i32 accumulators over
-/// fixed-size chunks, so the autovectorizer can map the widening
-/// multiply-adds onto whatever SIMD ISA the target offers
-/// (`vpmaddwd`-shaped on x86). Reassociating an integer sum cannot
-/// change the result, so this is bit-identical to the scalar chain.
-// me-verify: hot
-pub fn dot_i8_portable(a: &[i8], b: &[i8]) -> i32 {
-    let mut lanes = [0i32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            lanes[l] += xa[l] as i32 * xb[l] as i32;
-        }
-    }
-    let mut s: i32 = lanes.iter().sum();
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x as i32 * y as i32;
-    }
-    s
-}
-
-/// Safe entry to the AVX2 kernel; falls back to the portable kernel when
+/// Safe entry to the AVX2 kernel; falls back to the scalar kernel when
 /// dispatch resolution handed us `Avx2` off x86-64 (cannot happen via
 /// [`KernelVariant::resolve_supported`], but keeps the match total).
 #[cfg(target_arch = "x86_64")]
@@ -156,7 +125,7 @@ fn dot_i8_avx2_entry(a: &[i8], b: &[i8]) -> i32 {
 /// Non-x86 stand-in (the `Avx2` variant is never resolvable here).
 #[cfg(not(target_arch = "x86_64"))]
 fn dot_i8_avx2_entry(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_portable(a, b)
+    dot_i8_scalar(a, b)
 }
 
 /// AVX2 `vpmaddubsw` dot kernel: 32 byte-products per instruction,
@@ -228,8 +197,8 @@ mod tests {
 
     #[test]
     fn variants_agree_on_slice_domain() {
-        // Lengths straddle the 32-byte vector width and the portable
-        // lane count; values cover the full ±64 Ozaki slice domain.
+        // Lengths straddle the 32-byte vector width and half of it;
+        // values cover the full ±64 Ozaki slice domain.
         for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 64, 100, 256, 1000] {
             let a = ranged_i8(len, 64, len as u64 + 1);
             let b = ranged_i8(len, 64, len as u64 + 1000);

@@ -17,8 +17,8 @@
 //! substrate of me-serve's weight cache.
 
 use super::blocking::Blocking;
-use super::ukernel::NR;
 use super::pack_b;
+use super::ukernel::NR;
 use crate::mat::{Mat, Scalar};
 
 /// A B operand packed into the micro-kernel panel layout.

@@ -5,11 +5,9 @@
 //! stepped past is credible. This module gives the measured host substrate
 //! real arch-specific kernels instead of one scalar `mul_add` chain:
 //!
-//! - [`KernelVariant::Scalar`] — the original strictly-scalar MR×NR
-//!   register tile (one `mul_add` per accumulator per k step),
-//! - [`KernelVariant::Portable`] — the same loop restated over fixed-size
-//!   array chunks so the compiler can unroll and autovectorize it on any
-//!   architecture,
+//! - [`KernelVariant::Scalar`] — the strictly-scalar MR×NR register tile
+//!   (one `mul_add` per accumulator per k step): the reference every
+//!   other variant must match, and the one that runs on every platform,
 //! - [`KernelVariant::Avx2`] — hand-written `core::arch::x86_64`
 //!   intrinsics: 4-lane `__m256d` accumulator tiles for f64 (two registers
 //!   per row) and an 8-lane `__m256` sibling for f32, selected only when
@@ -30,8 +28,8 @@
 //! seeded shape × alpha/beta × special-value grid rather than asserting it.
 //!
 //! Selection happens once at startup through the [`KernelDispatch`] table:
-//! the `ME_KERNEL` environment variable (`scalar` | `portable` | `avx2` |
-//! `avx512`) overrides the best-detected default, and benches/tests can override at
+//! the `ME_KERNEL` environment variable (`scalar` | `avx2` | `avx512`)
+//! overrides the best-detected default, and benches/tests can override at
 //! runtime with [`set_kernel_override`] for A/B comparisons. Every GEMM
 //! reports the variant it ran through `me-trace` counters
 //! (`ukernel.<variant>`) and span tags (`gemm.kernel.<variant>`).
@@ -45,18 +43,16 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 
 /// Environment variable forcing a kernel variant at startup
-/// (`scalar` | `portable` | `avx2` | `avx512`, case-insensitive).
+/// (`scalar` | `avx2` | `avx512`, case-insensitive).
 pub const KERNEL_ENV: &str = "ME_KERNEL";
 
 /// One compiled-in micro-kernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelVariant {
     /// Strictly scalar reference kernel (one `mul_add` chain per
-    /// accumulator); the baseline every other variant must match bitwise.
+    /// accumulator); the baseline every other variant must match bitwise,
+    /// and the fallback wherever the SIMD variants are unavailable.
     Scalar,
-    /// Unrolled fixed-width kernel the autovectorizer can map onto any
-    /// SIMD ISA; the fallback when AVX2 is unavailable.
-    Portable,
     /// Hand-written AVX2+FMA intrinsics (x86-64 only, runtime-detected).
     Avx2,
     /// Hand-written AVX-512F intrinsics: 8-wide f64 / 16-wide f32 tiles
@@ -66,18 +62,18 @@ pub enum KernelVariant {
 
 impl KernelVariant {
     /// Every variant, in preference order (best last).
-    pub const ALL: [KernelVariant; 4] = [
-        KernelVariant::Scalar,
-        KernelVariant::Portable,
-        KernelVariant::Avx2,
-        KernelVariant::Avx512,
-    ];
+    pub const ALL: [KernelVariant; 3] =
+        [KernelVariant::Scalar, KernelVariant::Avx2, KernelVariant::Avx512];
+
+    /// Position in [`Self::ALL`] (the dispatch tables' slot index).
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 
     /// Short lower-case name, as accepted by `ME_KERNEL` / `--kernel`.
     pub fn name(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
-            KernelVariant::Portable => "portable",
             KernelVariant::Avx2 => "avx2",
             KernelVariant::Avx512 => "avx512",
         }
@@ -88,7 +84,6 @@ impl KernelVariant {
     pub fn tag(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "gemm.kernel.scalar",
-            KernelVariant::Portable => "gemm.kernel.portable",
             KernelVariant::Avx2 => "gemm.kernel.avx2",
             KernelVariant::Avx512 => "gemm.kernel.avx512",
         }
@@ -99,7 +94,6 @@ impl KernelVariant {
     pub fn counter(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "ukernel.scalar",
-            KernelVariant::Portable => "ukernel.portable",
             KernelVariant::Avx2 => "ukernel.avx2",
             KernelVariant::Avx512 => "ukernel.avx512",
         }
@@ -110,7 +104,6 @@ impl KernelVariant {
     pub fn int8_counter(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "ukernel.int8.scalar",
-            KernelVariant::Portable => "ukernel.int8.portable",
             KernelVariant::Avx2 => "ukernel.int8.avx2",
             KernelVariant::Avx512 => "ukernel.int8.avx512",
         }
@@ -122,7 +115,6 @@ impl KernelVariant {
     pub fn half_counter(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "ukernel.half.scalar",
-            KernelVariant::Portable => "ukernel.half.portable",
             KernelVariant::Avx2 => "ukernel.half.avx2",
             KernelVariant::Avx512 => "ukernel.half.avx512",
         }
@@ -132,7 +124,6 @@ impl KernelVariant {
     pub fn parse(s: &str) -> Option<KernelVariant> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelVariant::Scalar),
-            "portable" => Some(KernelVariant::Portable),
             "avx2" => Some(KernelVariant::Avx2),
             "avx512" => Some(KernelVariant::Avx512),
             _ => None,
@@ -142,21 +133,22 @@ impl KernelVariant {
     /// Is this variant runnable on the current host?
     pub fn supported(self) -> bool {
         match self {
-            KernelVariant::Scalar | KernelVariant::Portable => true,
+            KernelVariant::Scalar => true,
             KernelVariant::Avx2 => avx2_supported(),
             KernelVariant::Avx512 => avx512_supported(),
         }
     }
 
-    /// This variant if the host supports it, else the best supported
-    /// fallback ([`KernelVariant::Portable`]). Public GEMM entry points
+    /// This variant if the host supports it, else
+    /// [`KernelVariant::Scalar`], the one variant every platform runs.
+    /// Public GEMM entry points
     /// sanitize through this, so an `Avx2` request on a non-AVX2 host
     /// degrades instead of executing illegal instructions.
     pub fn resolve_supported(self) -> KernelVariant {
         if self.supported() {
             self
         } else {
-            KernelVariant::Portable
+            KernelVariant::Scalar
         }
     }
 }
@@ -210,9 +202,8 @@ pub fn available_variants() -> Vec<KernelVariant> {
 #[derive(Debug)]
 pub struct KernelDispatch {
     default: KernelVariant,
-    /// 0 = no override; otherwise 1 + the variant's index in
-    /// [`KernelVariant::ALL`]. An atomic (not a lock) so the hot GEMM
-    /// entry pays one relaxed load.
+    /// 0 = no override; otherwise 1 + [`KernelVariant::index`]. An
+    /// atomic (not a lock) so the hot GEMM entry pays one relaxed load.
     override_slot: std::sync::atomic::AtomicU8,
 }
 
@@ -238,26 +229,17 @@ impl KernelDispatch {
     /// The variant GEMMs run with right now: the runtime override if one
     /// is set, else the startup default.
     pub fn selected(&self) -> KernelVariant {
-        match self.override_slot.load(std::sync::atomic::Ordering::Relaxed) {
-            1 => KernelVariant::Scalar,
-            2 => KernelVariant::Portable,
-            3 => KernelVariant::Avx2,
-            4 => KernelVariant::Avx512,
-            _ => self.default,
+        match self.override_slot.load(std::sync::atomic::Ordering::Relaxed) as usize {
+            0 => self.default,
+            slot => KernelVariant::ALL[slot - 1],
         }
     }
 
     /// Install (or with `None`, clear) a runtime override. Unsupported
     /// variants are sanitized at the GEMM entry, so installing `Avx2` on
-    /// a non-AVX2 host is safe — it just runs `Portable`.
+    /// a non-AVX2 host is safe — it just runs `Scalar`.
     pub fn set_override(&self, v: Option<KernelVariant>) {
-        let raw = match v {
-            None => 0,
-            Some(KernelVariant::Scalar) => 1,
-            Some(KernelVariant::Portable) => 2,
-            Some(KernelVariant::Avx2) => 3,
-            Some(KernelVariant::Avx512) => 4,
-        };
+        let raw = v.map_or(0, |v| v.index() as u8 + 1);
         self.override_slot.store(raw, std::sync::atomic::Ordering::Relaxed);
     }
 }
@@ -272,7 +254,7 @@ fn resolve_startup(env: Option<&str>) -> KernelVariant {
     } else if avx2_supported() {
         KernelVariant::Avx2
     } else {
-        KernelVariant::Portable
+        KernelVariant::Scalar
     };
     let Some(raw) = env else {
         return best;
@@ -289,7 +271,7 @@ fn resolve_startup(env: Option<&str>) -> KernelVariant {
         }
         None => {
             eprintln!(
-                "me-linalg: unrecognized {KERNEL_ENV}={raw:?} (want scalar|portable|avx2|avx512); \
+                "me-linalg: unrecognized {KERNEL_ENV}={raw:?} (want scalar|avx2|avx512); \
                  using {}",
                 best.name()
             );
@@ -298,14 +280,14 @@ fn resolve_startup(env: Option<&str>) -> KernelVariant {
     }
 }
 
-/// The variant GEMMs without an explicit `_with` argument run right now.
+/// The variant GEMMs without a pinned variant run right now.
 pub fn selected_kernel() -> KernelVariant {
     KernelDispatch::global().selected()
 }
 
 /// Install (or clear) the process-wide kernel override — the `--kernel`
 /// flag of the benches and the A/B switch for experiments. Safe with any
-/// variant; unsupported requests degrade to `Portable` at the GEMM entry.
+/// variant; unsupported requests degrade to `Scalar` at the GEMM entry.
 pub fn set_kernel_override(v: Option<KernelVariant>) {
     KernelDispatch::global().set_override(v);
 }
@@ -328,7 +310,6 @@ pub(crate) fn micro_kernel<T: Scalar>(
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panel too short");
     match variant {
         KernelVariant::Scalar => micro_kernel_scalar(ap, bp, kc),
-        KernelVariant::Portable => micro_kernel_portable(ap, bp, kc),
         KernelVariant::Avx2 => micro_kernel_avx2(variant, ap, bp, kc),
         KernelVariant::Avx512 => micro_kernel_avx512(variant, ap, bp, kc),
     }
@@ -354,37 +335,9 @@ fn micro_kernel_scalar<T: Scalar>(ap: &[T], bp: &[T], kc: usize) -> [[T; NR]; MR
     acc
 }
 
-/// Portable unrolled kernel: the same FMA chain restated over fixed-size
-/// `[T; MR]` / `[T; NR]` chunks, so the compiler sees a constant-trip
-/// 4×8 inner block it can fully unroll and map onto whatever SIMD lanes
-/// the target offers. Per accumulator the operation sequence is identical
-/// to [`micro_kernel_scalar`] — reordering only happens *across*
-/// independent accumulators, which cannot change any result bit.
-// me-verify: hot
-#[inline]
-fn micro_kernel_portable<T: Scalar>(ap: &[T], bp: &[T], kc: usize) -> [[T; NR]; MR] {
-    let mut acc = [[T::ZERO; NR]; MR];
-    for p in 0..kc {
-        let (Some(av), Some(bv)) =
-            (ap[p * MR..].first_chunk::<MR>(), bp[p * NR..].first_chunk::<NR>())
-        else {
-            // Unreachable for correctly packed panels (length >= kc steps);
-            // degrade to a truncated product rather than panicking.
-            break;
-        };
-        for r in 0..MR {
-            let ar = av[r];
-            for j in 0..NR {
-                acc[r][j] = ar.mul_add(bv[j], acc[r][j]);
-            }
-        }
-    }
-    acc
-}
-
 /// AVX2 dispatcher: picks the f64 or f32 intrinsic kernel by element
 /// type. Reaching this with an unsupported type (impossible for the two
-/// `Scalar` impls in this crate) falls back to the portable kernel.
+/// `Scalar` impls in this crate) falls back to the scalar kernel.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
 #[inline]
@@ -421,13 +374,13 @@ fn micro_kernel_avx2<T: Scalar>(
             std::mem::transmute_copy::<[[f32; NR]; MR], [[T; NR]; MR]>(&acc)
         }
     } else {
-        micro_kernel_portable(ap, bp, kc)
+        micro_kernel_scalar(ap, bp, kc)
     }
 }
 
 /// Non-x86 stand-in: the `Avx2` variant is never available here
 /// ([`avx2_supported`] is `false`), so this only exists to keep the
-/// dispatch total; it runs the portable kernel.
+/// dispatch total; it runs the scalar kernel.
 // me-verify: hot
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
@@ -437,7 +390,7 @@ fn micro_kernel_avx2<T: Scalar>(
     bp: &[T],
     kc: usize,
 ) -> [[T; NR]; MR] {
-    micro_kernel_portable(ap, bp, kc)
+    micro_kernel_scalar(ap, bp, kc)
 }
 
 /// 4×8 f64 micro-kernel on AVX2+FMA.
@@ -521,7 +474,7 @@ unsafe fn avx2_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
 
 /// AVX-512 dispatcher: picks the f64 or f32 intrinsic kernel by element
 /// type, exactly mirroring [`micro_kernel_avx2`]'s TypeId-proven
-/// identity casts. Unsupported element types fall back to the portable
+/// identity casts. Unsupported element types fall back to the scalar
 /// kernel.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
@@ -559,13 +512,13 @@ fn micro_kernel_avx512<T: Scalar>(
             std::mem::transmute_copy::<[[f32; NR]; MR], [[T; NR]; MR]>(&acc)
         }
     } else {
-        micro_kernel_portable(ap, bp, kc)
+        micro_kernel_scalar(ap, bp, kc)
     }
 }
 
 /// Non-x86 stand-in: the `Avx512` variant is never available here
 /// ([`avx512_supported`] is `false`), so this only exists to keep the
-/// dispatch total; it runs the portable kernel.
+/// dispatch total; it runs the scalar kernel.
 // me-verify: hot
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
@@ -575,7 +528,7 @@ fn micro_kernel_avx512<T: Scalar>(
     bp: &[T],
     kc: usize,
 ) -> [[T; NR]; MR] {
-    micro_kernel_portable(ap, bp, kc)
+    micro_kernel_scalar(ap, bp, kc)
 }
 
 /// 4×8 f64 micro-kernel on AVX512F.
@@ -688,24 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn portable_matches_scalar_bitwise() {
-        for kc in [0usize, 1, 2, 7, 64, 256] {
-            let (ap, bp) = panels(kc, kc as u64 + 1);
-            let s = micro_kernel_scalar(&ap, &bp, kc);
-            let p = micro_kernel_portable(&ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        s[r][j].to_bits(),
-                        p[r][j].to_bits(),
-                        "portable != scalar at kc={kc} r={r} j={j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn avx2_matches_scalar_bitwise_when_available() {
         if !avx2_supported() {
             return;
@@ -773,6 +708,7 @@ mod tests {
             assert!(v.counter().ends_with(v.name()));
         }
         assert_eq!(KernelVariant::parse("neon"), None);
+        assert_eq!(KernelVariant::parse("portable"), None);
         assert_eq!(KernelVariant::parse(""), None);
     }
 
@@ -783,27 +719,27 @@ mod tests {
         } else if avx2_supported() {
             KernelVariant::Avx2
         } else {
-            KernelVariant::Portable
+            KernelVariant::Scalar
         };
         assert_eq!(resolve_startup(None), best);
         assert_eq!(resolve_startup(Some("scalar")), KernelVariant::Scalar);
-        assert_eq!(resolve_startup(Some("PORTABLE")), KernelVariant::Portable);
         assert_eq!(resolve_startup(Some("bogus")), best);
+        // `portable` names no variant: the unrecognized-value path.
+        assert_eq!(resolve_startup(Some("PORTABLE")), best);
         // avx2/avx512 requested: honored when detected, degraded otherwise.
         let got = resolve_startup(Some("avx2"));
-        assert_eq!(got, if avx2_supported() { KernelVariant::Avx2 } else { KernelVariant::Portable });
+        assert_eq!(got, if avx2_supported() { KernelVariant::Avx2 } else { KernelVariant::Scalar });
         let got = resolve_startup(Some("AVX512"));
         assert_eq!(
             got,
-            if avx512_supported() { KernelVariant::Avx512 } else { KernelVariant::Portable }
+            if avx512_supported() { KernelVariant::Avx512 } else { KernelVariant::Scalar }
         );
     }
 
     #[test]
-    fn available_variants_always_contains_both_fallbacks() {
+    fn available_variants_always_contains_the_scalar_fallback() {
         let avail = available_variants();
         assert!(avail.contains(&KernelVariant::Scalar));
-        assert!(avail.contains(&KernelVariant::Portable));
         assert_eq!(avail.contains(&KernelVariant::Avx2), avx2_supported());
         assert_eq!(avail.contains(&KernelVariant::Avx512), avx512_supported());
         for v in avail {
@@ -814,28 +750,30 @@ mod tests {
     #[test]
     fn override_slot_wins_and_clears() {
         let table = KernelDispatch {
-            default: KernelVariant::Portable,
+            default: KernelVariant::Avx2,
             override_slot: std::sync::atomic::AtomicU8::new(0),
         };
-        assert_eq!(table.selected(), KernelVariant::Portable);
-        table.set_override(Some(KernelVariant::Scalar));
-        assert_eq!(table.selected(), KernelVariant::Scalar);
-        assert_eq!(table.startup_default(), KernelVariant::Portable);
+        assert_eq!(table.selected(), KernelVariant::Avx2);
+        for v in KernelVariant::ALL {
+            table.set_override(Some(v));
+            assert_eq!(table.selected(), v);
+        }
+        assert_eq!(table.startup_default(), KernelVariant::Avx2);
         table.set_override(None);
-        assert_eq!(table.selected(), KernelVariant::Portable);
+        assert_eq!(table.selected(), KernelVariant::Avx2);
     }
 
     #[test]
-    fn unsupported_resolves_to_portable() {
+    fn unsupported_resolves_to_scalar() {
         if avx2_supported() {
             assert_eq!(KernelVariant::Avx2.resolve_supported(), KernelVariant::Avx2);
         } else {
-            assert_eq!(KernelVariant::Avx2.resolve_supported(), KernelVariant::Portable);
+            assert_eq!(KernelVariant::Avx2.resolve_supported(), KernelVariant::Scalar);
         }
         if avx512_supported() {
             assert_eq!(KernelVariant::Avx512.resolve_supported(), KernelVariant::Avx512);
         } else {
-            assert_eq!(KernelVariant::Avx512.resolve_supported(), KernelVariant::Portable);
+            assert_eq!(KernelVariant::Avx512.resolve_supported(), KernelVariant::Scalar);
         }
         assert_eq!(KernelVariant::Scalar.resolve_supported(), KernelVariant::Scalar);
     }

@@ -8,7 +8,7 @@
 //! GEMM-dominated profile for the same structural reason real HPL is
 //! GEMM-dominated.
 
-use crate::blas3::{gemm_tiled, trsm_lower_left};
+use crate::blas3::{gemm, trsm_lower_left, GemmAlgo};
 use crate::mat::{Mat, Scalar};
 
 /// LU factorization block size (the `NB` of HPL).
@@ -118,7 +118,7 @@ pub fn getrf<T: Scalar>(a: &mut Mat<T>) -> Result<Vec<usize>, LapackError> {
             //     HPL GEMM-bound) ---
             let l21 = Mat::from_fn(n - kend, kb, |i, j| a[(kend + i, k0 + j)]);
             let mut a22 = Mat::from_fn(n - kend, n - kend, |i, j| a[(kend + i, kend + j)]);
-            gemm_tiled(-T::ONE, &l21, &u12, T::ONE, &mut a22);
+            gemm(GemmAlgo::Tiled, -T::ONE, &l21, &u12, T::ONE, &mut a22);
             for i in 0..(n - kend) {
                 for j in 0..(n - kend) {
                     a[(kend + i, kend + j)] = a22[(i, j)];

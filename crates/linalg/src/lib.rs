@@ -8,10 +8,11 @@
 //! - a row-major dense matrix type [`Mat`] generic over [`Scalar`]
 //!   (`f32`/`f64`),
 //! - BLAS level 1 ([`blas1`]), level 2 ([`blas2`]) and level 3 ([`blas3`])
-//!   routines, with multiple GEMM code paths (naive scalar, cache-blocked,
-//!   micro-tiled "SIMD-style", and thread-parallel) so the scalar-vs-
-//!   vectorized comparison of the paper's Table II exercises genuinely
-//!   different kernels,
+//!   routines, with three GEMM code paths (naive scalar, cache-blocked,
+//!   and one packed micro-tiled "SIMD-style" core run through a
+//!   [`GemmPlan`], serial or thread-parallel) so the scalar-vs-vectorized
+//!   comparison of the paper's Table II exercises genuinely different
+//!   kernels,
 //! - a LAPACK-lite layer ([`lapack`]): LU with partial pivoting, Cholesky,
 //!   triangular solves, and an HPL-style dense solver with the TOP500
 //!   residual check, used as the real compute inside the HPL workload model.
@@ -36,14 +37,11 @@ pub mod mixed;
 pub mod qr;
 
 pub use blas3::{
-    available_variants, avx2_supported, avx512_supported, blocking_for, dot_i8, dot_i8_portable,
-    dot_i8_scalar, gemm, gemm_blocked, gemm_half, gemm_half_f32, gemm_half_parallel_with,
-    gemm_half_with, gemm_i8_i32, gemm_naive,
-    gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with, gemm_parallel_on_with,
-    gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with, gemm_tiled_with,
-    gemm_tiled_with_blocking, pack_b_matrix, selected_kernel, set_blocking_override,
-    set_kernel_override, Blocking, BlockingDispatch, GemmAlgo, HalfKind, HalfMat, KernelDispatch,
-    KernelVariant, PackedB, BLOCKING_ENV, KERNEL_ENV,
+    available_variants, avx2_supported, avx512_supported, blocking_for, dot_i8, dot_i8_scalar,
+    gemm, gemm_blocked, gemm_half_f32, gemm_i8_i32, gemm_naive, gemm_tiled_prepacked_with,
+    pack_b_matrix, selected_kernel, set_blocking_override, set_kernel_override, BOperand,
+    Blocking, BlockingDispatch, GemmAlgo, GemmOperand, GemmPlan, HalfKind, HalfMat,
+    KernelDispatch, KernelVariant, PackedB, Workers, BLOCKING_ENV, KERNEL_ENV,
 };
 pub use lapack::{getrf, getrs, hpl_residual, hpl_solve, potrf};
 pub use mat::{Mat, MatMut, Scalar};

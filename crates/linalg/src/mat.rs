@@ -274,6 +274,14 @@ pub struct MatMut<'a, T: Scalar> {
     data: &'a mut [T],
 }
 
+impl<'a, T: Scalar> MatMut<'a, T> {
+    /// View `data` (exactly `rows · cols` elements) as a row-major matrix.
+    pub(crate) fn from_slice(rows: usize, cols: usize, data: &'a mut [T]) -> Self {
+        debug_assert_eq!(data.len(), rows * cols, "MatMut: slice length mismatch");
+        MatMut { rows, cols, data }
+    }
+}
+
 impl<T: Scalar> MatMut<'_, T> {
     /// Number of rows in the view.
     #[inline]

@@ -11,6 +11,7 @@
 use crate::engine::{HostF16, HostInt8, Simulated, F16_F32, I8_I32};
 use crate::gemm::{run, OzakiConfig, OzakiReport, Schedule};
 use me_linalg::{selected_kernel, KernelVariant, Mat};
+pub use me_par::Workers;
 use me_par::WorkerPool;
 
 /// Which substrate executes the slice-pair products.
@@ -18,12 +19,12 @@ use me_par::WorkerPool;
 pub enum OzakiBackend {
     /// The simulated f16/f32 matrix engine (Tensor-Core model).
     SimulatedMe(OzakiConfig),
-    /// Host INT8 kernels (i8×i8→i32; scalar / portable / AVX2
-    /// `vpmaddubsw`, per the kernel variant).
+    /// Host INT8 kernels (i8×i8→i32; scalar / AVX2 `vpmaddubsw`, per the
+    /// kernel variant).
     HostInt8(OzakiConfig),
     /// Host f16 widening kernels (binary16 storage widened to f32 in the
-    /// pack loops; scalar / portable / AVX2 / AVX-512 per the kernel
-    /// variant). Bitwise-equal to `SimulatedMe` at the same config.
+    /// pack loops; scalar / AVX2 / AVX-512 per the kernel variant).
+    /// Bitwise-equal to `SimulatedMe` at the same config.
     HostF16(OzakiConfig),
 }
 
@@ -77,17 +78,6 @@ impl OzakiBackend {
     }
 }
 
-/// Where the row panels of one GEMM run.
-#[derive(Debug, Clone, Copy)]
-pub enum Workers<'a> {
-    /// A thread count: 1 is serial, 0 resolves through `ME_THREADS`/the
-    /// OS ([`me_par::resolve_threads`]); other widths run on the global
-    /// pool when it has that width and on a fresh pool otherwise.
-    Threads(usize),
-    /// A caller-supplied pool (the scaling benches sweep widths).
-    Pool(&'a WorkerPool),
-}
-
 /// Emulated GEMM through the selected backend, serial, on the
 /// process-selected kernel variant ([`me_linalg::selected_kernel`]).
 pub fn ozaki_gemm_backend(a: &Mat<f64>, b: &Mat<f64>, backend: &OzakiBackend) -> OzakiReport {
@@ -96,7 +86,8 @@ pub fn ozaki_gemm_backend(a: &Mat<f64>, b: &Mat<f64>, backend: &OzakiBackend) ->
 
 /// Emulated GEMM through the selected backend on a pinned kernel variant
 /// (unsupported variants degrade via `resolve_supported`; the simulated
-/// engine has no variants) and the given workers.
+/// engine has no variants) and the given workers, one row of C per work
+/// unit ([`Workers::run`]).
 ///
 /// Bitwise identical for every variant and every worker count: chunk
 /// sums are exact, and the per-element accumulation order never depends
@@ -108,20 +99,7 @@ pub fn ozaki_gemm_with(
     variant: KernelVariant,
     workers: Workers<'_>,
 ) -> OzakiReport {
-    let pool = match workers {
-        Workers::Pool(p) => p,
-        Workers::Threads(t) => {
-            let nthreads = me_par::resolve_threads(t).min(a.rows().max(1));
-            if nthreads <= 1 || a.rows() < 2 {
-                return dispatch(a, b, backend, variant, None);
-            }
-            if nthreads != me_par::global().threads() {
-                return dispatch(a, b, backend, variant, Some(&WorkerPool::new(nthreads)));
-            }
-            me_par::global()
-        }
-    };
-    dispatch(a, b, backend, variant, Some(pool))
+    workers.run(a.rows(), |pool| dispatch(a, b, backend, variant, pool))
 }
 
 fn dispatch(

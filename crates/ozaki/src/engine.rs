@@ -172,7 +172,7 @@ impl SliceEngine for HostF16 {
 }
 
 /// The host's INT8 kernels: i8 slice panels, each chunk one
-/// [`gemm_i8_i32`] call (scalar, portable or AVX2 `vpmaddubsw`) —
+/// [`gemm_i8_i32`] call (scalar or AVX2 `vpmaddubsw`) —
 /// integer arithmetic, exact by construction while `k_block · 2^(2β) <
 /// 2^31`, so every variant and partition returns the same bits.
 pub(crate) struct HostInt8 {

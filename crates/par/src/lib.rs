@@ -52,6 +52,35 @@ pub fn resolve_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Where a parallel computation runs: a requested thread count or a
+/// caller-supplied pool.
+#[derive(Debug, Clone, Copy)]
+pub enum Workers<'a> {
+    /// A thread count; `0` means auto ([`resolve_threads`]).
+    Threads(usize),
+    /// A caller-supplied pool (the scaling benches sweep widths).
+    Pool(&'a WorkerPool),
+}
+
+impl Workers<'_> {
+    /// Run `f` on the pool this request resolves to, or serially
+    /// (`None`). The one pool-resolution rule: a [`Workers::Pool`] is
+    /// used as given; a thread count is resolved, capped at `units` (the
+    /// caller's number of independent work units), and then runs
+    /// serially at ≤ 1, on the [`global`] pool when the count equals its
+    /// width, and on a fresh pool of that width otherwise.
+    pub fn run<R>(self, units: usize, f: impl FnOnce(Option<&WorkerPool>) -> R) -> R {
+        match self {
+            Workers::Pool(pool) => f(Some(pool)),
+            Workers::Threads(t) => match resolve_threads(t).min(units.max(1)) {
+                1 => f(None),
+                n if n == global().threads() => f(Some(global())),
+                n => f(Some(&WorkerPool::new(n))),
+            },
+        }
+    }
+}
+
 /// The process-wide lock serializing tests that mutate scheduling
 /// environment variables (`ME_THREADS`, `ME_SHARDS`, …).
 ///
@@ -118,6 +147,23 @@ mod tests {
         with_env(Some(" 12 "), || {
             assert_eq!(resolve_threads(0), 12, "surrounding whitespace is trimmed");
         });
+    }
+
+    #[test]
+    fn workers_resolve_to_serial_global_or_fresh_pools() {
+        // `global()` reads ME_THREADS on first use.
+        let _g = env_lock().lock().unwrap_or_else(|e| e.into_inner());
+        let width = |w: Workers<'_>, units| w.run(units, |p| p.map(WorkerPool::threads));
+        assert_eq!(width(Workers::Threads(1), 8), None);
+        assert_eq!(width(Workers::Threads(4), 1), None, "capped at the work units");
+        assert_eq!(width(Workers::Threads(3), 8), Some(3));
+        assert_eq!(width(Workers::Threads(8), 3), Some(3));
+        let g = global().threads();
+        let on_global =
+            Workers::Threads(g).run(usize::MAX, |p| p.is_some_and(|p| std::ptr::eq(p, global())));
+        assert_eq!(on_global, g > 1);
+        let pool = WorkerPool::new(2);
+        assert_eq!(width(Workers::Pool(&pool), 1), Some(2), "a given pool is used as is");
     }
 
     #[test]

@@ -413,7 +413,7 @@ mod tests {
         let base = Job::gemm(KernelVariant::Scalar, 1.0, arc_mat(2, 4), Arc::clone(&b));
         let other_b = Job::gemm(KernelVariant::Scalar, 1.0, arc_mat(2, 4), arc_mat(4, 6));
         let other_alpha = Job::gemm(KernelVariant::Scalar, 2.0, arc_mat(2, 4), Arc::clone(&b));
-        let other_variant = Job::gemm(KernelVariant::Portable, 1.0, arc_mat(2, 4), Arc::clone(&b));
+        let other_variant = Job::gemm(KernelVariant::Avx2, 1.0, arc_mat(2, 4), Arc::clone(&b));
         for j in [&other_b, &other_alpha, &other_variant] {
             assert_ne!(BucketKey::of(&base), BucketKey::of(j));
         }

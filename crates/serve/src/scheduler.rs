@@ -56,10 +56,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use me_linalg::{
-    gemm_parallel_on_prepacked_with, gemm_parallel_on_with, gemm_tiled_prepacked_with,
-    gemm_tiled_with, Mat, PackedB,
-};
+use me_linalg::{BOperand, GemmPlan, Mat, PackedB, Workers};
 use me_ozaki::ozaki_gemm;
 
 use crate::cache::{CacheStats, WeightCache};
@@ -1285,10 +1282,9 @@ fn execute_stacked_gemm(ctx: &ShardCtx, pool: &me_par::WorkerPool, slots: &mut [
     // below — same pack routine, same kc grid (validated on lookup).
     let packed: Option<Arc<PackedB<f64>>> =
         ctx.cache.as_ref().map(|wc| wc.get_or_pack(key, &b, variant));
-    let run = catch_unwind(AssertUnwindSafe(|| match &packed {
-        Some(p) => gemm_parallel_on_prepacked_with(pool, variant, alpha, &a_stack, p, 0.0, &mut c_stack),
-        None => gemm_parallel_on_with(pool, variant, alpha, &a_stack, &b, 0.0, &mut c_stack),
-    }));
+    let b_op = packed.as_deref().map_or(BOperand::Fresh(&*b), BOperand::Packed);
+    let plan = GemmPlan::new(variant).with_workers(Workers::Pool(pool));
+    let run = catch_unwind(AssertUnwindSafe(|| plan.run(alpha, &a_stack, b_op, 0.0, &mut c_stack)));
     match run {
         Ok(()) => {
             for (&i, &(r0, m)) in members.iter().zip(&offsets) {
@@ -1382,18 +1378,9 @@ fn run_one(
         JobKind::Gemm(g) => {
             let mut c = Mat::zeros(g.a.rows(), g.b.cols());
             let packed = cache.map(|wc| wc.get_or_pack(key, &g.b, g.variant));
-            match (&packed, use_pool) {
-                (Some(p), true) => {
-                    gemm_parallel_on_prepacked_with(pool, g.variant, g.alpha, &g.a, p, 0.0, &mut c)
-                }
-                (Some(p), false) => {
-                    gemm_tiled_prepacked_with(g.variant, g.alpha, &g.a, p, 0.0, &mut c)
-                }
-                (None, true) => {
-                    gemm_parallel_on_with(pool, g.variant, g.alpha, &g.a, &g.b, 0.0, &mut c)
-                }
-                (None, false) => gemm_tiled_with(g.variant, g.alpha, &g.a, &g.b, 0.0, &mut c),
-            }
+            let b = packed.as_deref().map_or(BOperand::Fresh(&*g.b), BOperand::Packed);
+            let workers = if use_pool { Workers::Pool(pool) } else { Workers::Threads(1) };
+            GemmPlan::new(g.variant).with_workers(workers).run(g.alpha, &*g.a, b, 0.0, &mut c);
             c
         }
         JobKind::Ozaki(o) => ozaki_gemm(&o.a, &o.b, &o.cfg).c,

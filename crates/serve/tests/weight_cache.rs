@@ -22,8 +22,8 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use me_linalg::{
-    available_variants, blocking_for, gemm_tiled_prepacked_with, gemm_tiled_with, pack_b_matrix,
-    set_blocking_override, Blocking, KernelVariant, Mat,
+    available_variants, blocking_for, gemm_tiled_prepacked_with, pack_b_matrix,
+    set_blocking_override, Blocking, GemmPlan, KernelVariant, Mat,
 };
 use me_numerics::Rng64;
 use me_serve::{BucketKey, Job, Outcome, Scheduler, ServeConfig};
@@ -119,7 +119,7 @@ fn evicted_entry_stays_valid_mid_compute() {
     let mut cached = Mat::zeros(m, n);
     gemm_tiled_prepacked_with(variant, 1.0, a.as_ref(), held.as_ref(), 0.0, &mut cached);
     let mut fresh = Mat::zeros(m, n);
-    gemm_tiled_with(variant, 1.0, a.as_ref(), b1.as_ref(), 0.0, &mut fresh);
+    GemmPlan::new(variant).run(1.0, a.as_ref(), b1.as_ref(), 0.0, &mut fresh);
     assert_eq!(
         cached.as_slice(),
         fresh.as_slice(),
@@ -249,7 +249,7 @@ fn cached_scheduler_matches_uncached_and_serial_bitwise() {
     {
         assert_eq!(c, u, "request {i} ({variant:?}): cached and uncached bytes diverge");
         let mut serial = Mat::zeros(a.rows(), b.cols());
-        gemm_tiled_with(*variant, 1.0, a.as_ref(), b.as_ref(), 0.0, &mut serial);
+        GemmPlan::new(*variant).run(1.0, a.as_ref(), b.as_ref(), 0.0, &mut serial);
         assert_eq!(
             c,
             serial.as_slice(),

@@ -4,7 +4,7 @@
 //! The bitwise-identity guarantee (DESIGN §9) holds because every
 //! kernel variant performs exactly one correctly-rounded FMA per
 //! accumulator per ascending-`k` step — `f64::mul_add`/`f32::mul_add`
-//! on the portable paths, `vfmadd` intrinsics on the SIMD paths. A
+//! on the scalar paths, `vfmadd` intrinsics on the SIMD paths. A
 //! split multiply-then-add (`acc += a * b` compiled as two roundings,
 //! or one rounding under `-Cffast-math`-style contraction, depending on
 //! codegen flags) silently forks the rounding stream and the variants

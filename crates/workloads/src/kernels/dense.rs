@@ -3,7 +3,7 @@
 use super::KernelStats;
 use me_linalg::blas1;
 use me_linalg::blas2::gemv;
-use me_linalg::blas3::{gemm_tiled, syrk_lower, trsm_lower_left};
+use me_linalg::blas3::{gemm, syrk_lower, trsm_lower_left, GemmAlgo};
 use me_linalg::lapack::{getrf, potrf};
 use me_linalg::Mat;
 
@@ -35,7 +35,7 @@ pub fn gemm_kernel(n: usize) -> KernelStats {
     let a = dmat(n, n, 1);
     let b = dmat(n, n, 2);
     let mut c = Mat::zeros(n, n);
-    gemm_tiled(1.0, &a, &b, 0.0, &mut c);
+    gemm(GemmAlgo::Tiled, 1.0, &a, &b, 0.0, &mut c);
     KernelStats {
         flops: 2.0 * (n as f64).powi(3),
         bytes: 4.0 * (n * n) as f64 * 8.0,
@@ -53,7 +53,7 @@ pub fn block_gemm_kernel(n: usize) -> KernelStats {
     let mut x = dmat(B, B, 4);
     for _ in 0..n {
         let mut c = Mat::zeros(B, B);
-        gemm_tiled(1.0, &a, &x, 0.0, &mut c);
+        gemm(GemmAlgo::Tiled, 1.0, &a, &x, 0.0, &mut c);
         for (o, v) in acc.as_mut_slice().iter_mut().zip(c.as_slice()) {
             *o += *v;
         }
@@ -90,7 +90,7 @@ pub fn cholesky_kernel(n: usize) -> KernelStats {
     let m = dmat(n, n, 6);
     let mt = m.transpose();
     let mut a = Mat::zeros(n, n);
-    gemm_tiled(1.0, &m, &mt, 0.0, &mut a);
+    gemm(GemmAlgo::Tiled, 1.0, &m, &mt, 0.0, &mut a);
     for i in 0..n {
         a[(i, i)] += n as f64 + 1.0;
     }

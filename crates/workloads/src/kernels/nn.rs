@@ -6,7 +6,7 @@
 //! and scaled-dot-product attention with a numerically-stable softmax.
 
 use super::KernelStats;
-use me_linalg::{gemm_tiled, Mat};
+use me_linalg::{gemm, GemmAlgo, Mat};
 
 fn lcg(state: &mut u64) -> f64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -35,7 +35,7 @@ pub fn conv2d_im2col(h: usize, c_in: usize, c_out: usize, k: usize, seed: u64) -
     });
 
     let mut out = Mat::zeros(h_out * h_out, c_out);
-    gemm_tiled(1.0, &cols, &filters, 0.0, &mut out);
+    gemm(GemmAlgo::Tiled, 1.0, &cols, &filters, 0.0, &mut out);
 
     let gemm_flops = 2.0 * (h_out * h_out * c_out * c_in * k * k) as f64;
     KernelStats {
@@ -85,7 +85,7 @@ pub fn lstm_cell(batch: usize, d: usize, seed: u64) -> KernelStats {
     let xh = Mat::from_fn(batch, 2 * d, |_, _| lcg(&mut state));
     let w = Mat::from_fn(2 * d, 4 * d, |_, _| lcg(&mut state) * 0.2);
     let mut gates = Mat::zeros(batch, 4 * d);
-    gemm_tiled(1.0, &xh, &w, 0.0, &mut gates);
+    gemm(GemmAlgo::Tiled, 1.0, &xh, &w, 0.0, &mut gates);
 
     let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
     let mut c_prev: Vec<f64> = (0..batch * d).map(|_| lcg(&mut state)).collect();
@@ -122,7 +122,7 @@ pub fn attention(seq: usize, d: usize, seed: u64) -> KernelStats {
     // scores = Q Kᵀ / sqrt(d)
     let kt = km.transpose();
     let mut scores = Mat::zeros(seq, seq);
-    gemm_tiled(1.0 / (d as f64).sqrt(), &q, &kt, 0.0, &mut scores);
+    gemm(GemmAlgo::Tiled, 1.0 / (d as f64).sqrt(), &q, &kt, 0.0, &mut scores);
 
     // row-wise stable softmax
     for i in 0..seq {
@@ -139,7 +139,7 @@ pub fn attention(seq: usize, d: usize, seed: u64) -> KernelStats {
     }
 
     let mut out = Mat::zeros(seq, d);
-    gemm_tiled(1.0, &scores, &v, 0.0, &mut out);
+    gemm(GemmAlgo::Tiled, 1.0, &scores, &v, 0.0, &mut out);
 
     KernelStats {
         flops: 2.0 * (seq * seq * d) as f64 * 2.0 + 6.0 * (seq * seq) as f64,

@@ -1,8 +1,8 @@
 //! Cross-variant differential testing of the INT8 Ozaki GEMM — the
 //! integer sibling of `kernel_differential.rs`.
 //!
-//! The INT8 path claims (a) every kernel variant — scalar, portable,
-//! AVX2 `vpmaddubsw` — produces **bitwise identical** results, serial
+//! The INT8 path claims (a) every kernel variant — scalar and AVX2
+//! `vpmaddubsw` — produces **bitwise identical** results, serial
 //! and at any thread count, because every engine call returns the exact
 //! i32 chunk dot and the recombination order is fixed; and (b) the
 //! result is DGEMM-grade accurate against the f64 reference. Enforced

@@ -1,7 +1,7 @@
 //! Cross-variant differential testing of the GEMM micro-kernels.
 //!
 //! The SIMD micro-kernel layer (`me_linalg::blas3::ukernel`) claims its
-//! variants — scalar, portable-unrolled, and AVX2+FMA intrinsics — are
+//! variants — scalar, AVX2+FMA and AVX-512 intrinsics — are
 //! **bitwise identical** at every shape and thread count, because every
 //! variant performs exactly one fused multiply-add per accumulator per k
 //! step in ascending-k order. GEMMbench's argument (PAPERS.md) is that
@@ -25,8 +25,8 @@
 //! exact rounding divergence is reproducible from the printed case.
 
 use matrix_engines::linalg::{
-    available_variants, avx512_supported, gemm_half_parallel_with, gemm_half_with,
-    gemm_parallel_with, gemm_tiled_with, HalfKind, HalfMat, KernelVariant, Mat,
+    available_variants, avx512_supported, GemmPlan, HalfKind, HalfMat, KernelVariant, Mat,
+    Workers,
 };
 use me_numerics::Rng64;
 
@@ -123,11 +123,11 @@ fn all_variants_bitwise_identical_across_shape_grid_and_threads() {
                 let c0 = gen_mat(&mut rng, m, n);
 
                 let mut c_ref = c0.clone();
-                gemm_tiled_with(KernelVariant::Scalar, alpha, &a, &b, beta, &mut c_ref);
+                GemmPlan::new(KernelVariant::Scalar).run(alpha, &a, &b, beta, &mut c_ref);
 
                 for &v in &variants {
                     let mut c = c0.clone();
-                    gemm_tiled_with(v, alpha, &a, &b, beta, &mut c);
+                    GemmPlan::new(v).run(alpha, &a, &b, beta, &mut c);
                     assert_bitwise_f64(
                         &format!("{v} serial m={m} k={k} n={n} alpha={alpha} beta={beta}"),
                         &c,
@@ -135,7 +135,9 @@ fn all_variants_bitwise_identical_across_shape_grid_and_threads() {
                     );
                     for &t in &THREADS {
                         let mut c = c0.clone();
-                        gemm_parallel_with(v, alpha, &a, &b, beta, &mut c, t);
+                        GemmPlan::new(v)
+                            .with_workers(Workers::Threads(t))
+                            .run(alpha, &a, &b, beta, &mut c);
                         assert_bitwise_f64(
                             &format!(
                                 "{v} parallel(t={t}) m={m} k={k} n={n} alpha={alpha} beta={beta}"
@@ -169,10 +171,10 @@ fn alpha_beta_cross_on_small_shapes() {
                 for &alpha in &COEFFS {
                     for &beta in &COEFFS {
                         let mut c_ref = c0.clone();
-                        gemm_tiled_with(KernelVariant::Scalar, alpha, &a, &b, beta, &mut c_ref);
+                        GemmPlan::new(KernelVariant::Scalar).run(alpha, &a, &b, beta, &mut c_ref);
                         for &v in &variants {
                             let mut c = c0.clone();
-                            gemm_tiled_with(v, alpha, &a, &b, beta, &mut c);
+                            GemmPlan::new(v).run(alpha, &a, &b, beta, &mut c);
                             assert_bitwise_f64(
                                 &format!(
                                     "{v} m={m} k={k} n={n} alpha={alpha} beta={beta}"
@@ -212,13 +214,15 @@ fn f32_variants_bitwise_identical() {
                 let b = gen(k, n);
                 let c0 = gen(m, n);
                 let mut c_ref = c0.clone();
-                gemm_tiled_with(KernelVariant::Scalar, 1.5f32, &a, &b, -0.5f32, &mut c_ref);
+                GemmPlan::new(KernelVariant::Scalar).run(1.5f32, &a, &b, -0.5f32, &mut c_ref);
                 for &v in &variants {
                     let mut c = c0.clone();
-                    gemm_tiled_with(v, 1.5f32, &a, &b, -0.5f32, &mut c);
+                    GemmPlan::new(v).run(1.5f32, &a, &b, -0.5f32, &mut c);
                     assert_bitwise_f32(&format!("{v} serial m={m} k={k} n={n}"), &c, &c_ref);
                     let mut c = c0.clone();
-                    gemm_parallel_with(v, 1.5f32, &a, &b, -0.5f32, &mut c, 2);
+                    GemmPlan::new(v)
+                        .with_workers(Workers::Threads(2))
+                        .run(1.5f32, &a, &b, -0.5f32, &mut c);
                     assert_bitwise_f32(&format!("{v} parallel m={m} k={k} n={n}"), &c, &c_ref);
                 }
             }
@@ -289,10 +293,10 @@ fn half_variants_bitwise_identical_across_grid_and_threads() {
                         rng.range_f64(-1.0, 1.0) as f32
                     });
                     let mut c_ref = c0.clone();
-                    gemm_half_with(KernelVariant::Scalar, 1.5f32, &a, &b, -0.5f32, &mut c_ref);
+                    GemmPlan::new(KernelVariant::Scalar).run(1.5f32, &a, &b, -0.5f32, &mut c_ref);
                     for &v in &variants {
                         let mut c = c0.clone();
-                        gemm_half_with(v, 1.5f32, &a, &b, -0.5f32, &mut c);
+                        GemmPlan::new(v).run(1.5f32, &a, &b, -0.5f32, &mut c);
                         assert_bitwise_f32(
                             &format!("{v} {kind} serial m={m} k={k} n={n}"),
                             &c,
@@ -300,7 +304,9 @@ fn half_variants_bitwise_identical_across_grid_and_threads() {
                         );
                         for &t in &THREADS {
                             let mut c = c0.clone();
-                            gemm_half_parallel_with(v, 1.5f32, &a, &b, -0.5f32, &mut c, t);
+                            GemmPlan::new(v)
+                                .with_workers(Workers::Threads(t))
+                                .run(1.5f32, &a, &b, -0.5f32, &mut c);
                             assert_bitwise_f32(
                                 &format!("{v} {kind} parallel(t={t}) m={m} k={k} n={n}"),
                                 &c,
@@ -335,17 +341,11 @@ fn half_alpha_beta_cross_on_small_shapes() {
                     for &alpha in &coeffs {
                         for &beta in &coeffs {
                             let mut c_ref = c0.clone();
-                            gemm_half_with(
-                                KernelVariant::Scalar,
-                                alpha,
-                                &a,
-                                &b,
-                                beta,
-                                &mut c_ref,
-                            );
+                            GemmPlan::new(KernelVariant::Scalar)
+                                .run(alpha, &a, &b, beta, &mut c_ref);
                             for &v in &variants {
                                 let mut c = c0.clone();
-                                gemm_half_with(v, alpha, &a, &b, beta, &mut c);
+                                GemmPlan::new(v).run(alpha, &a, &b, beta, &mut c);
                                 assert_bitwise_f32(
                                     &format!(
                                         "{v} {kind} m={m} k={k} n={n} alpha={alpha} beta={beta}"
@@ -363,7 +363,7 @@ fn half_alpha_beta_cross_on_small_shapes() {
 }
 
 /// The dispatch table's runtime override must steer the un-pinned public
-/// entry points (`gemm`, `gemm_tiled`, …) without changing any result
+/// entry points (`gemm` with `Tiled` and `Parallel`) without changing any result
 /// bit. Runs in its own process-wide critical section: the override is
 /// global state, so this test restores it before returning.
 #[test]
@@ -374,7 +374,7 @@ fn runtime_override_steers_default_entry_points_bitwise_identically() {
     let b = gen_mat(&mut rng, 67, 33);
     let c0 = gen_mat(&mut rng, 65, 33);
     let mut c_ref = c0.clone();
-    gemm_tiled_with(KernelVariant::Scalar, 2.0, &a, &b, 1.0, &mut c_ref);
+    GemmPlan::new(KernelVariant::Scalar).run(2.0, &a, &b, 1.0, &mut c_ref);
     for v in available_variants() {
         set_kernel_override(Some(v));
         for algo in [GemmAlgo::Tiled, GemmAlgo::Parallel] {

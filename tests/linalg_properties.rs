@@ -74,14 +74,14 @@ fn qr_reconstructs_and_q_is_orthonormal() {
 
         // ‖QR − A‖F ≤ tol·‖A‖F — the defining identity.
         let mut qr_prod = Mat::zeros(m, n);
-        me_linalg::gemm_tiled(1.0, &f.q, &f.r, 0.0, &mut qr_prod);
+        me_linalg::gemm(me_linalg::GemmAlgo::Tiled, 1.0, &f.q, &f.r, 0.0, &mut qr_prod);
         let tol = 1e-12 * a.fro_norm().max(1.0) * (m as f64);
         let resid = fro_diff(&qr_prod, &a);
         assert!(resid <= tol, "case {case} ({m}x{n}): ‖QR−A‖F = {resid:e} > {tol:e}");
 
         // ‖QᵀQ − I‖F ≤ tol — orthonormal columns.
         let mut qtq = Mat::zeros(n, n);
-        me_linalg::gemm_tiled(1.0, &f.q.transpose(), &f.q, 0.0, &mut qtq);
+        me_linalg::gemm(me_linalg::GemmAlgo::Tiled, 1.0, &f.q.transpose(), &f.q, 0.0, &mut qtq);
         let ortho = fro_diff(&qtq, &Mat::eye(n));
         let otol = 1e-12 * (m as f64);
         assert!(ortho <= otol, "case {case} ({m}x{n}): ‖QᵀQ−I‖F = {ortho:e} > {otol:e}");
@@ -158,7 +158,7 @@ fn sym_eig_residual_orthonormality_and_order() {
 
         // VᵀV = I — the rotations must preserve orthonormality.
         let mut vtv = Mat::zeros(n, n);
-        me_linalg::gemm_tiled(1.0, &e.vectors.transpose(), &e.vectors, 0.0, &mut vtv);
+        me_linalg::gemm(me_linalg::GemmAlgo::Tiled, 1.0, &e.vectors.transpose(), &e.vectors, 0.0, &mut vtv);
         let ortho = fro_diff(&vtv, &Mat::eye(n));
         assert!(ortho <= 1e-10 * n as f64, "case {case}: ‖VᵀV−I‖F = {ortho:e}");
     }
@@ -195,7 +195,7 @@ fn cholesky_factor_reconstructs_spd_matrix() {
         let m = gen_mat(&mut rng, n, n);
         // A = MᵀM + n·I is symmetric positive definite.
         let mut a = Mat::eye(n);
-        me_linalg::gemm_tiled(1.0, &m.transpose(), &m, n as f64, &mut a);
+        me_linalg::gemm(me_linalg::GemmAlgo::Tiled, 1.0, &m.transpose(), &m, n as f64, &mut a);
         let mut l = a.clone();
         potrf(&mut l).expect("SPD Cholesky must succeed");
         // L is lower triangular with positive diagonal …
@@ -207,7 +207,7 @@ fn cholesky_factor_reconstructs_spd_matrix() {
         }
         // … and ‖L·Lᵀ − A‖F ≤ tol·‖A‖F.
         let mut llt = Mat::zeros(n, n);
-        me_linalg::gemm_tiled(1.0, &l, &l.transpose(), 0.0, &mut llt);
+        me_linalg::gemm(me_linalg::GemmAlgo::Tiled, 1.0, &l, &l.transpose(), 0.0, &mut llt);
         let tol = 1e-12 * a.fro_norm().max(1.0) * (n as f64);
         let resid = fro_diff(&llt, &a);
         assert!(resid <= tol, "case {case} (n={n}): ‖LLᵀ−A‖F = {resid:e} > {tol:e}");

@@ -15,7 +15,7 @@
 //! pass when the workspace is built with `--no-default-features` (the
 //! counter infrastructure itself is compiled out there).
 
-use matrix_engines::linalg::{gemm_parallel_on, gemm_tiled, Mat};
+use matrix_engines::linalg::{gemm, selected_kernel, GemmAlgo, GemmPlan, Mat, Workers};
 use me_numerics::Rng64;
 use me_par::WorkerPool;
 
@@ -45,12 +45,12 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
 
     // --- Serial path -------------------------------------------------
     let _ = drain_grow_count(); // discard anything earlier in the process
-    gemm_tiled(1.0, &a, &b, 0.0, &mut c);
+    gemm(GemmAlgo::Tiled, 1.0, &a, &b, 0.0, &mut c);
     let cold = drain_grow_count();
     assert!(cold > 0, "first pack at {n}³ must grow the scratch (counter is wired)");
 
     for _ in 0..8 {
-        gemm_tiled(1.0, &a, &b, 0.0, &mut c);
+        gemm(GemmAlgo::Tiled, 1.0, &a, &b, 0.0, &mut c);
     }
     // A smaller problem must reuse the same capacity too.
     let small = 33;
@@ -58,7 +58,7 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
     let sb = gen_mat(&mut rng, small, small);
     let mut sc = Mat::zeros(small, small);
     for _ in 0..4 {
-        gemm_tiled(1.0, &sa, &sb, 0.0, &mut sc);
+        gemm(GemmAlgo::Tiled, 1.0, &sa, &sb, 0.0, &mut sc);
     }
     let steady = drain_grow_count();
     assert_eq!(
@@ -83,7 +83,9 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
             rounds <= 50,
             "pool never reached a zero-allocation steady state in {rounds} runs"
         );
-        gemm_parallel_on(&pool, 1.0, &a, &b, 0.0, &mut cp);
+        GemmPlan::new(selected_kernel())
+            .with_workers(Workers::Pool(&pool))
+            .run(1.0, &a, &b, 0.0, &mut cp);
         if drain_grow_count() == 0 {
             streak += 1;
         } else {
@@ -97,7 +99,7 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
     let ba = gen_mat(&mut rng, big, big);
     let bb = gen_mat(&mut rng, big, big);
     let mut bc = Mat::zeros(big, big);
-    gemm_tiled(1.0, &ba, &bb, 0.0, &mut bc);
+    gemm(GemmAlgo::Tiled, 1.0, &ba, &bb, 0.0, &mut bc);
     let regrow = drain_grow_count();
     assert!(regrow > 0, "a larger shape must be allowed to grow the scratch");
 
@@ -115,10 +117,10 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
     let ska = gen_mat(&mut rng, 16, skinny_k);
     let skb = gen_mat(&mut rng, skinny_k, wide_n);
     let mut skc = Mat::zeros(16, wide_n);
-    gemm_tiled(1.0, &ska, &skb, 0.0, &mut skc);
+    gemm(GemmAlgo::Tiled, 1.0, &ska, &skb, 0.0, &mut skc);
     let _ = drain_grow_count(); // warm-up at (k=8, n=512), whatever it cost
     for _ in 0..4 {
-        gemm_tiled(1.0, &ska, &skb, 0.0, &mut skc);
+        gemm(GemmAlgo::Tiled, 1.0, &ska, &skb, 0.0, &mut skc);
     }
     assert_eq!(
         drain_grow_count(),
@@ -128,7 +130,7 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
     let dka = gen_mat(&mut rng, 16, deep_k);
     let dkb = gen_mat(&mut rng, deep_k, wide_n);
     let mut dkc = Mat::zeros(16, wide_n);
-    gemm_tiled(1.0, &dka, &dkb, 0.0, &mut dkc);
+    gemm(GemmAlgo::Tiled, 1.0, &dka, &dkb, 0.0, &mut dkc);
     assert!(
         drain_grow_count() > 0,
         "k=8→64 at n=512 must regrow the B scratch: a no-grow here means the \

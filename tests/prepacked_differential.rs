@@ -15,8 +15,8 @@
 //! and asserts `assert_eq!` on raw f64 slices — no tolerances anywhere.
 
 use matrix_engines::linalg::{
-    available_variants, gemm_parallel_on_prepacked_with, gemm_tiled_prepacked_with,
-    gemm_tiled_with_blocking, pack_b_matrix, Blocking, Mat,
+    available_variants, gemm_tiled_prepacked_with, pack_b_matrix, Blocking, GemmPlan, Mat,
+    Workers,
 };
 use me_numerics::Rng64;
 use me_par::WorkerPool;
@@ -57,7 +57,7 @@ fn prepacked_gemm_is_bitwise_identical_to_fresh_pack() {
                 let eff = packed.blocking();
 
                 let mut fresh = c0.clone();
-                gemm_tiled_with_blocking(variant, eff, 1.5, &a, &b, -0.5, &mut fresh);
+                GemmPlan::new(variant).with_blocking(eff).run(1.5, &a, &b, -0.5, &mut fresh);
 
                 let mut pre = c0.clone();
                 gemm_tiled_prepacked_with(variant, 1.5, &a, &packed, -0.5, &mut pre);
@@ -68,7 +68,9 @@ fn prepacked_gemm_is_bitwise_identical_to_fresh_pack() {
                 );
 
                 let mut par = c0.clone();
-                gemm_parallel_on_prepacked_with(&pool, variant, 1.5, &a, &packed, -0.5, &mut par);
+                GemmPlan::new(variant)
+                    .with_workers(Workers::Pool(&pool))
+                    .run(1.5, &a, &packed, -0.5, &mut par);
                 assert_eq!(
                     par.as_slice(),
                     fresh.as_slice(),
@@ -100,7 +102,7 @@ fn one_packed_b_serves_many_requests_bitwise() {
             let a = gen_mat(&mut rng, m, k);
             let c0 = gen_mat(&mut rng, m, n);
             let mut fresh = c0.clone();
-            gemm_tiled_with_blocking(variant, eff, alpha, &a, &b, beta, &mut fresh);
+            GemmPlan::new(variant).with_blocking(eff).run(alpha, &a, &b, beta, &mut fresh);
             let mut pre = c0.clone();
             gemm_tiled_prepacked_with(variant, alpha, &a, &packed, beta, &mut pre);
             assert_eq!(

@@ -7,6 +7,7 @@
 //! counterexample replayable. No shrinking; the generators keep inputs
 //! small enough to read directly.
 
+use matrix_engines::linalg::{selected_kernel, GemmPlan};
 use matrix_engines::prelude::*;
 use me_numerics::Rng64;
 use me_ozaki::gemm::reference_gemm;
@@ -146,7 +147,9 @@ fn parallel_gemm_bitwise_matches_tiled() {
         let mut c_tiled = c0.clone();
         gemm(GemmAlgo::Tiled, 1.5, &a, &b, -0.25, &mut c_tiled);
         let mut c_par = c0.clone();
-        matrix_engines::linalg::gemm_parallel(1.5, &a, &b, -0.25, &mut c_par, threads);
+        GemmPlan::new(selected_kernel())
+            .with_workers(Workers::Threads(threads))
+            .run(1.5, &a, &b, -0.25, &mut c_par);
         for (x, y) in c_par.as_slice().iter().zip(c_tiled.as_slice()) {
             assert_eq!(
                 x.to_bits(),

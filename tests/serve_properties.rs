@@ -7,7 +7,7 @@
 //!    sequence number stamped on each completion).
 //! 2. **Batching is bitwise-invisible** — a request coalesced into a
 //!    row-stacked batch returns exactly the bits the serial
-//!    `gemm_tiled_with` reference produces for it alone; batching is a
+//!    `GemmPlan` reference produces for it alone; batching is a
 //!    throughput optimization, never a numerical one.
 //! 3. **Conservation** — after a drain, every accepted request resolved
 //!    exactly once: `enqueued == ok + timed_out + shed + failed` with
@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use matrix_engines::linalg::{gemm_tiled_with, KernelVariant, Mat};
+use matrix_engines::linalg::{selected_kernel, GemmPlan, KernelVariant, Mat};
 use matrix_engines::ozaki::OzakiConfig;
 use matrix_engines::serve::{Job, Outcome, Scheduler, ServeConfig, SubmitError};
 
@@ -30,7 +30,7 @@ fn mat(m: usize, n: usize, seed: u64) -> Arc<Mat<f64>> {
 /// fresh output, exactly as the scheduler allocates it.
 fn serial_reference(variant: KernelVariant, alpha: f64, a: &Mat<f64>, b: &Mat<f64>) -> Mat<f64> {
     let mut c = Mat::zeros(a.rows(), b.cols());
-    gemm_tiled_with(variant, alpha, a, b, 0.0, &mut c);
+    GemmPlan::new(variant).run(alpha, a, b, 0.0, &mut c);
     c
 }
 
@@ -69,7 +69,7 @@ fn fifo_order_within_a_bucket() {
 
 #[test]
 fn batched_results_are_bitwise_identical_to_serial() {
-    for variant in [KernelVariant::Scalar, KernelVariant::Portable] {
+    for variant in [KernelVariant::Scalar, selected_kernel().resolve_supported()] {
         let sched = Scheduler::new(ServeConfig {
             shards: 1,
             shard_threads: 1,

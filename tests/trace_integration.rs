@@ -9,6 +9,7 @@
 //! inert, and the instrumented kernels still produce bitwise-identical
 //! results (nothing else could change: the probes compile to nothing).
 
+use matrix_engines::linalg::{selected_kernel, GemmPlan};
 use matrix_engines::prelude::*;
 use matrix_engines::trace as me_trace;
 use std::sync::Mutex;
@@ -51,7 +52,9 @@ fn exercise_stack() {
     let a = mk(48, 40, 1);
     let b = mk(40, 32, 2);
     let mut c = Mat::zeros(48, 32);
-    matrix_engines::linalg::gemm_parallel_on(&pool, 1.0, &a, &b, 0.0, &mut c);
+    GemmPlan::new(selected_kernel())
+        .with_workers(Workers::Pool(&pool))
+        .run(1.0, &a, &b, 0.0, &mut c);
 
     let oa = mk(12, 10, 3);
     let ob = mk(10, 8, 4);
