@@ -45,13 +45,11 @@
 #      the >= 2x vectorized-dot speed gate, the DGEMM-grade accuracy
 #      gate, and the INT8-beats-FP16 energy gate; leaves
 #      artifacts/ozaki_int8.txt behind)
-#   9. serve-scale stage: the lock-free ring linearizability suite, the
-#      mutex-vs-ring differential replay, and the fairness + SLO
-#      property suites at both test parallelisms; the fault-injection +
-#      stress suites forced onto each queue arm via ME_QUEUE; and a
+#   9. serve-scale stage: the serial-oracle differential replay and the
+#      fairness + SLO property suites at both test parallelisms, and a
 #      smoke run of the multi-tenant open-loop replay (enforces the
-#      ring >= mutex throughput gate, the p99-within-SLO gate, and exact
-#      global + per-tenant conservation; leaves artifacts/serve_replay.txt)
+#      p99-within-SLO gate and exact global + per-tenant conservation;
+#      leaves artifacts/serve_replay.txt)
 #  9b. benchmark stage: build the mebench package against the current
 #      library and run its self-tests, so a library API change that
 #      breaks the benchmark fails CI
@@ -145,17 +143,11 @@ rm -f artifacts/ozaki_int8.txt
 ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench ozaki_int8
 test -s artifacts/ozaki_int8.txt
 
-echo "==> serve-scale stage: ring + differential + fairness suites (both parallelisms)"
-cargo test -q -p me-serve --test ring --test differential --test fairness
-RUST_TEST_THREADS=1 cargo test -q -p me-serve --test ring --test differential --test fairness
+echo "==> serve-scale stage: differential + fairness suites (both parallelisms)"
+cargo test -q -p me-serve --test differential --test fairness
+RUST_TEST_THREADS=1 cargo test -q -p me-serve --test differential --test fairness
 
-echo "==> serve-scale stage: fault injection + stress on each queue arm (ME_QUEUE)"
-for Q in mutex ring; do
-    echo "==>   ME_QUEUE=$Q"
-    ME_QUEUE=$Q cargo test -q -p me-serve --test fault_injection --test stress
-done
-
-echo "==> serve-scale stage: multi-tenant replay smoke (throughput/SLO/conservation gates)"
+echo "==> serve-scale stage: multi-tenant replay smoke (SLO/conservation gates)"
 rm -f artifacts/serve_replay.txt
 ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench serve_throughput
 test -s artifacts/serve_replay.txt

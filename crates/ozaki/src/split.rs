@@ -86,19 +86,22 @@ impl SplitMatrix {
     }
 }
 
-/// Ceiling of log2|x| as an exponent: the smallest `e` with `|x| ≤ 2^e`.
+/// Ceiling of log2|x| as an exponent: the smallest `e` with `|x| ≤ 2^e`,
+/// read in O(1) from the exponent and mantissa bits. `+∞` maps to 1024,
+/// one past the largest finite binade (where `f64::MAX` also lands).
 fn ceil_exp(x: f64) -> i32 {
-    debug_assert!(x > 0.0 && x.is_finite());
-    let e = x.abs().log2().ceil() as i32;
-    // log2 can be off by one ulp near powers of two; fix up exactly.
-    let mut e = e;
-    while pow2_safe(e) < x {
-        e += 1;
+    debug_assert!(x != 0.0 && !x.is_nan());
+    let bits = x.abs().to_bits();
+    let exp = (bits >> 52) as i32;
+    let mant = bits & ((1u64 << 52) - 1);
+    if exp == 0x7ff {
+        1024
+    } else if exp == 0 {
+        // Subnormal: |x| = mant · 2^-1074, so e = ⌈log2 mant⌉ − 1074.
+        64 - (mant - 1).leading_zeros() as i32 - 1074
+    } else {
+        exp - 1023 + i32::from(mant != 0)
     }
-    while e > -1000 && pow2_safe(e - 1) >= x {
-        e -= 1;
-    }
-    e
 }
 
 fn pow2_safe(e: i32) -> f64 {
@@ -460,5 +463,43 @@ mod tests {
         assert_eq!(ceil_exp(0.5), -1);
         assert_eq!(ceil_exp(3.0), 2);
         assert_eq!(ceil_exp(0.75), 0);
+    }
+
+    #[test]
+    fn ceil_exp_edges_of_the_range() {
+        let min_subnormal = f64::from_bits(1);
+        assert_eq!(ceil_exp(min_subnormal), -1074);
+        assert_eq!(ceil_exp(f64::from_bits(2)), -1073);
+        assert_eq!(ceil_exp(f64::from_bits(3)), -1072);
+        assert_eq!(ceil_exp(f64::MIN_POSITIVE), -1022);
+        assert_eq!(ceil_exp(0.75), 0);
+        assert_eq!(ceil_exp(1.0), 0);
+        assert_eq!(ceil_exp(3.0), 2);
+        assert_eq!(ceil_exp(-3.0), 2, "the sign is ignored");
+        assert_eq!(ceil_exp(f64::MAX), 1024);
+        assert_eq!(ceil_exp(f64::INFINITY), 1024);
+        assert_eq!(ceil_exp(f64::NEG_INFINITY), 1024);
+    }
+
+    /// `2^(e−1) < x ≤ 2^e` over random positive finite bit patterns,
+    /// subnormals included, checked with exact power-of-two arithmetic.
+    #[test]
+    fn ceil_exp_brackets_random_finite_values() {
+        let mut rng = me_numerics::Rng64::seed_from_u64(0xce11);
+        let mut subnormals = 0;
+        for i in 0..200_000u32 {
+            let bits = rng.next_u64() & !(1u64 << 63);
+            // Every 8th draw lands in the subnormal range.
+            let bits = if i % 8 == 0 { bits & ((1u64 << 52) - 1) } else { bits };
+            let x = f64::from_bits(bits);
+            if !x.is_finite() || x == 0.0 {
+                continue;
+            }
+            subnormals += usize::from(!x.is_normal());
+            let e = ceil_exp(x);
+            assert!(x <= pow2_safe(e), "{x:e}: 2^{e} is below it");
+            assert!(pow2_safe(e - 1) < x, "{x:e}: 2^{} already covers it", e - 1);
+        }
+        assert!(subnormals > 1000, "subnormals were sampled: {subnormals}");
     }
 }

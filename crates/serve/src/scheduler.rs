@@ -3,8 +3,9 @@
 //! Data path: [`Scheduler::submit`] hashes the request's [`BucketKey`] to
 //! a shard and admits it to that shard's bounded queue (backpressure: a
 //! full queue rejects with [`SubmitError::QueueFull`]). Each shard owns
-//! one scheduler thread and one [`me_par::WorkerPool`]; the thread pops
-//! the queue head, coalesces up to `batch_max` same-bucket requests
+//! one scheduler thread and one [`me_par::WorkerPool`]; the thread picks
+//! the next request (the head, or with several tenants the deficit
+//! round-robin choice), coalesces up to `batch_max` same-bucket requests
 //! (FIFO within the bucket, non-matching requests keep their relative
 //! order), and executes the batch:
 //!
@@ -20,26 +21,19 @@
 //! - **Ozaki buckets** execute per request, fanned over the pool; each
 //!   request is the exact serial [`me_ozaki::ozaki_gemm`].
 //!
-//! ## Queue arms
+//! ## Shard queue
 //!
-//! The hot admission path runs on one of two interchangeable queues,
-//! selected by [`ServeConfig::queue`] / `ME_QUEUE` (see
-//! [`crate::resolve_queue`]):
+//! Each shard owns one `Mutex<Inbox>` plus a `Condvar`. Producers admit
+//! under the lock — closed check, then the capacity check against the
+//! shard's *logical* depth (inbox + the shard thread's local ready and
+//! delayed queues), then the `enqueued` bump before the push — and
+//! notify only while the shard thread is waiting. The shard thread takes
+//! the whole inbox in one `append` and does everything else off the
+//! lock on its own `ready`/`delayed` queues: promoting due retries,
+//! drop-head shedding, and per-tenant deficit round-robin coalescing. It
+//! frees a batch's depth under one short lock before executing it.
 //!
-//! - [`QueueKind::Ring`] (default): a bounded lock-free Vyukov MPMC ring
-//!   ([`crate::ring::MpmcRing`]) fronted by a single atomic admission
-//!   gate (closed-bit + logical depth in one word). Producers never take
-//!   a lock; the shard thread drains the ring into a consumer-local
-//!   ready queue and parks on a `Condvar` **only at the idle edge**
-//!   (SeqCst-fence Dekker handshake against the producers — DESIGN.md
-//!   §14). Per-tenant deficit-weighted fair selection runs on this arm.
-//! - [`QueueKind::Mutex`]: the original `Mutex<VecDeque>` queue, kept
-//!   bitwise-intact (strict FIFO, no tenant weighting) as the
-//!   differential baseline — `tests/differential.rs` replays identical
-//!   seeded traces through both arms and requires identical outcomes and
-//!   bitwise-identical GEMM payloads.
-//!
-//! Robustness (identical on both arms): per-request deadlines (checked
+//! Robustness: per-request deadlines (checked
 //! at dequeue and again after execution), bounded retries with
 //! exponential backoff for transient failures, drop-head load shedding
 //! beyond the configured watermark, and panic isolation — a panicking
@@ -51,7 +45,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,7 +58,6 @@ use crate::fault::{Fault, FaultPlan, FaultStage, INJECTED_PANIC};
 use crate::request::{
     BucketKey, Completion, Job, JobKind, Outcome, SubmitError, Ticket, TicketState,
 };
-use crate::ring::MpmcRing;
 use crate::stats::{ServeStats, StatsSnapshot, TenantSnapshot};
 
 /// Ceiling on the retry-backoff exponent (backoff = base · 2^min(attempt, CAP)).
@@ -74,32 +67,12 @@ const BACKOFF_EXP_CAP: u32 = 10;
 // silent zero backoff). Fail the build, not the retry path.
 const _: () = assert!(BACKOFF_EXP_CAP < 32, "backoff exponent cap must fit a u32 shift");
 
-/// Which per-shard queue implementation the scheduler runs. Resolved at
-/// [`Scheduler::new`] by [`crate::resolve_queue`] (`ME_QUEUE` env under
-/// the DESIGN.md §10 startup-read contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The original `Mutex<VecDeque>` queue: strict FIFO, no tenant
-    /// weighting. Kept as the differential baseline.
-    Mutex,
-    /// The lock-free Vyukov MPMC ring with atomic admission gate,
-    /// Condvar parking at the idle edge only, and per-tenant
-    /// deficit-weighted fair selection. The default.
-    Ring,
-}
-
 /// Scheduler configuration. `Default` is a production-shaped setup:
-/// auto queue arm (`ME_QUEUE`, else the lock-free ring), auto
-/// shards/threads, a 1024-deep queue per shard, batches of up to 64,
-/// two retries with 1 ms base backoff, shedding disabled (watermark =
-/// capacity), single-tenant, no fault injection.
+/// auto shards/threads, a 1024-deep queue per shard, batches of up to
+/// 64, two retries with 1 ms base backoff, shedding disabled (watermark
+/// = capacity), single-tenant, no fault injection.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Queue arm; `None` = auto ([`crate::resolve_queue`]: `ME_QUEUE`
-    /// `mutex`/`ring`, else [`QueueKind::Ring`]). Read once at
-    /// [`Scheduler::new`] — see DESIGN.md §10 for the startup-read
-    /// contract.
-    pub queue: Option<QueueKind>,
     /// Shard count; `0` = auto ([`crate::resolve_shards`]: `ME_SHARDS`,
     /// else min(4, available parallelism)). Read once at
     /// [`Scheduler::new`] — see DESIGN.md §10 for the startup-read
@@ -133,11 +106,10 @@ pub struct ServeConfig {
     /// (every batch re-packs, the pre-cache behavior). Resolved once at
     /// [`Scheduler::new`] under the §10 startup-read contract.
     pub weight_cache_bytes: usize,
-    /// Per-tenant weights for deficit-weighted fair selection on the
-    /// ring arm; empty = auto ([`crate::resolve_tenant_weights`]:
-    /// `ME_TENANT_WEIGHTS` comma list, else single-tenant FIFO). Tenant
-    /// ids map onto slots modulo the weight count; zero weights clamp
-    /// to 1. The mutex arm ignores weights (strict FIFO) by design.
+    /// Per-tenant weights for deficit-weighted fair selection; empty =
+    /// auto ([`crate::resolve_tenant_weights`]: `ME_TENANT_WEIGHTS`
+    /// comma list, else single-tenant FIFO). Tenant ids map onto slots
+    /// modulo the weight count; zero weights clamp to 1.
     pub tenant_weights: Vec<u64>,
     /// Startup blocking-autotune policy; `None` = auto
     /// ([`crate::resolve_autotune`]: `ME_AUTOTUNE` `startup`/`off`, else
@@ -156,7 +128,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            queue: None,
             shards: 0,
             shard_threads: 0,
             queue_capacity: 1024,
@@ -194,74 +165,33 @@ struct Delayed {
     pending: Pending,
 }
 
-struct QueueState {
-    ready: VecDeque<Pending>,
-    delayed: Vec<Delayed>,
-    shutdown: bool,
-    /// Monotone sequence for stable ordering of same-instant retries.
-    delay_seq: u64,
+/// What producers and the shard thread share, under the shard's lock.
+struct Inbox {
+    /// Admitted requests the shard thread has not taken yet.
+    items: VecDeque<Pending>,
+    /// Logical queue depth: `items` plus the shard thread's local ready
+    /// and delayed queues. Admission checks capacity against this, so a
+    /// request counts from its admission until it leaves the queue into
+    /// a batch, the shed set or the dead set.
+    depth: usize,
+    /// Shutdown has begun: admissions reject, the shard thread drains.
+    closed: bool,
+    /// The shard thread is waiting on the condvar; producers notify
+    /// only while this is set.
+    waiting: bool,
 }
 
-/// The mutex queue arm: the original bounded `Mutex<VecDeque>`.
-struct MutexQueue {
-    state: Mutex<QueueState>,
+/// One shard's bounded queue.
+struct ShardQueue {
+    inbox: Mutex<Inbox>,
     cv: Condvar,
     capacity: usize,
 }
 
-impl MutexQueue {
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+impl ShardQueue {
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-/// Closed bit of the ring arm's admission gate; the low 63 bits hold the
-/// logical queue depth (in-ring + consumer-local ready + delayed +
-/// admissions between gate-CAS and ring-publish).
-const GATE_CLOSED: u64 = 1 << 63;
-
-/// The lock-free queue arm: admissions CAS the gate (bound + shutdown in
-/// one atomic word) and publish through the MPMC ring; the park
-/// mutex/condvar pair is touched **only** on the idle edge (empty ring)
-/// and by shutdown, never on the hot path.
-struct RingQueue {
-    ring: MpmcRing<Pending>,
-    /// `GATE_CLOSED` bit + logical depth. One word, so the shard
-    /// thread's exit check (`closed && depth == 0`) can never race an
-    /// in-flight admission: an admission either CASes depth up before
-    /// the close (the exit check sees it) or observes the closed bit and
-    /// rejects.
-    gate: AtomicU64,
-    /// Parking lot for the shard thread's idle edge.
-    park: Mutex<()>,
-    cv: Condvar,
-    /// Whether the shard thread is (about to be) parked; producers skip
-    /// the park lock entirely while this is false. The SeqCst
-    /// store/fence handshake against `ring` publish makes the skip safe
-    /// (DESIGN.md §14).
-    parked: AtomicBool,
-    capacity: u64,
-}
-
-impl RingQueue {
-    /// Wake the shard thread if it is parked (or about to park). The
-    /// notify happens under the park lock, so a consumer that re-checked
-    /// the ring under that same lock either saw our push or is already
-    /// waiting on the condvar.
-    // me-verify: hot
-    fn wake(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// One shard's queue, either arm.
-enum ShardQueue {
-    Mutex(MutexQueue),
-    Ring(RingQueue),
 }
 
 /// Everything a shard thread needs, cloneable into the thread.
@@ -297,16 +227,15 @@ pub struct Scheduler {
     accepting: AtomicBool,
     plan: Option<FaultPlan>,
     pool_width: usize,
-    queue_kind: QueueKind,
     tenant_weights: Arc<[u64]>,
     cache: Option<Arc<WeightCache>>,
 }
 
 impl Scheduler {
-    /// Build and start a scheduler. Queue arm, shard count, pool width,
-    /// tenant weights, and cache size resolve through
-    /// [`crate::resolve_queue`] / [`crate::resolve_shards`] /
-    /// [`me_par::resolve_threads`] / [`crate::resolve_tenant_weights`] /
+    /// Build and start a scheduler. Shard count, pool width, tenant
+    /// weights, and cache size resolve through
+    /// [`crate::resolve_shards`] / [`me_par::resolve_threads`] /
+    /// [`crate::resolve_tenant_weights`] /
     /// [`crate::resolve_weight_cache`] **here, once** — environment
     /// changes after construction do not retarget a live scheduler.
     pub fn new(config: ServeConfig) -> Scheduler {
@@ -325,7 +254,6 @@ impl Scheduler {
                 ),
             }
         }
-        let kind = crate::resolve_queue(config.queue);
         let nshards = crate::resolve_shards(config.shards);
         let width = me_par::resolve_threads(config.shard_threads);
         let capacity = config.queue_capacity.max(1);
@@ -347,25 +275,15 @@ impl Scheduler {
         let mut queues = Vec::with_capacity(nshards);
         let mut threads = Vec::with_capacity(nshards);
         for i in 0..nshards {
-            let queue = Arc::new(match kind {
-                QueueKind::Mutex => ShardQueue::Mutex(MutexQueue {
-                    state: Mutex::new(QueueState {
-                        ready: VecDeque::new(),
-                        delayed: Vec::new(),
-                        shutdown: false,
-                        delay_seq: 0,
-                    }),
-                    cv: Condvar::new(),
-                    capacity,
+            let queue = Arc::new(ShardQueue {
+                inbox: Mutex::new(Inbox {
+                    items: VecDeque::new(),
+                    depth: 0,
+                    closed: false,
+                    waiting: false,
                 }),
-                QueueKind::Ring => ShardQueue::Ring(RingQueue {
-                    ring: MpmcRing::new(capacity),
-                    gate: AtomicU64::new(0),
-                    park: Mutex::new(()),
-                    cv: Condvar::new(),
-                    parked: AtomicBool::new(false),
-                    capacity: capacity as u64,
-                }),
+                cv: Condvar::new(),
+                capacity,
             });
             let ctx = ShardCtx {
                 stats: Arc::clone(&stats),
@@ -385,12 +303,7 @@ impl Scheduler {
             // the caller's thread (see `submit`). Nothing is lost, only
             // the asynchrony.
             let thread_queue = Arc::clone(&queue);
-            let handle = builder
-                .spawn(move || match &*thread_queue {
-                    ShardQueue::Mutex(mq) => mutex_shard_loop(ctx, mq),
-                    ShardQueue::Ring(rq) => ring_shard_loop(ctx, rq),
-                })
-                .ok();
+            let handle = builder.spawn(move || shard_loop(ctx, &thread_queue)).ok();
             queues.push(queue);
             threads.push(handle);
         }
@@ -403,7 +316,6 @@ impl Scheduler {
             accepting: AtomicBool::new(true),
             plan: config.fault_plan,
             pool_width: width,
-            queue_kind: kind,
             tenant_weights,
             cache,
         }
@@ -417,11 +329,6 @@ impl Scheduler {
     /// Worker-pool width each shard executes with.
     pub fn pool_width(&self) -> usize {
         self.pool_width
-    }
-
-    /// Which queue arm this scheduler resolved to at construction.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue_kind
     }
 
     /// The resolved per-tenant weights (len ≥ 1, every weight ≥ 1).
@@ -498,122 +405,55 @@ impl Scheduler {
             submitted: now,
             ticket: Arc::clone(&ticket_state),
         };
-        let has_thread = self.threads[shard].is_some();
-        match &*self.queues[shard] {
-            ShardQueue::Mutex(mq) => self.submit_mutex(mq, pending, has_thread)?,
-            ShardQueue::Ring(rq) => self.submit_ring(rq, pending, has_thread)?,
-        }
-        Ok(Ticket { state: ticket_state, id })
-    }
-
-    /// Mutex-arm admission. The `enqueued` counters are bumped **under
-    /// the queue lock, before the push** — the shard thread can only
-    /// observe the request after the unlock, so any snapshot that sees a
-    /// resolution also sees its admission (stats.rs ordering contract).
-    fn submit_mutex(
-        &self,
-        mq: &MutexQueue,
-        pending: Pending,
-        has_thread: bool,
-    ) -> Result<(), SubmitError> {
-        let tenant = pending.tenant;
-        let inline = {
-            let mut q = mq.lock();
-            if q.shutdown {
-                ServeStats::bump(&self.stats.rejected_shutdown);
-                return Err(SubmitError::ShuttingDown);
-            }
-            if q.ready.len() + q.delayed.len() >= mq.capacity {
-                ServeStats::bump(&self.stats.rejected_full);
-                me_trace::counter_add("serve.rejected", 1);
-                return Err(SubmitError::QueueFull);
-            }
-            ServeStats::bump(&self.stats.enqueued);
-            ServeStats::bump(&self.stats.tenant_slot(tenant).enqueued);
-            if has_thread {
-                q.ready.push_back(pending);
-                let depth = q.ready.len() as u64;
-                ServeStats::record_max(&self.stats.queue_high_water, depth);
-                me_trace::hist_record("serve.queue_depth", depth);
-                mq.cv.notify_one();
-                None
-            } else {
-                // Synchronous fallback shard (spawn failed at startup).
-                Some(pending)
-            }
-        };
+        let inline = self.admit(&self.queues[shard], pending, self.threads[shard].is_some())?;
         me_trace::counter_add("serve.enqueued", 1);
         if let Some(pending) = inline {
             self.execute_inline(pending);
         }
-        Ok(())
+        Ok(Ticket { state: ticket_state, id })
     }
 
-    /// Ring-arm admission: one CAS on the gate decides
-    /// shutdown/backpressure, then the value publishes through the
-    /// lock-free ring. The `enqueued` counters are bumped inside the
-    /// ring's claimed-slot window (after the gate admitted, before the
-    /// publishing sequence store), so the shard thread can never resolve
-    /// a request whose admission a snapshot has not seen.
+    /// Admit one request to a shard's inbox. The `enqueued` counters are
+    /// bumped **under the lock, before the push** — the shard thread can
+    /// only take the request after the unlock, so any snapshot that sees
+    /// a resolution also sees its admission (stats.rs ordering contract).
+    /// Returns the request back when the shard has no thread (its spawn
+    /// failed at startup) and the caller must run it inline.
     // me-verify: hot
-    fn submit_ring(
+    fn admit(
         &self,
-        rq: &RingQueue,
+        queue: &ShardQueue,
         pending: Pending,
         has_thread: bool,
-    ) -> Result<(), SubmitError> {
-        let mut g = rq.gate.load(Ordering::Relaxed);
-        loop {
-            if g & GATE_CLOSED != 0 {
-                ServeStats::bump(&self.stats.rejected_shutdown);
-                return Err(SubmitError::ShuttingDown);
-            }
-            if g & !GATE_CLOSED >= rq.capacity {
-                ServeStats::bump(&self.stats.rejected_full);
-                me_trace::counter_add("serve.rejected", 1);
-                return Err(SubmitError::QueueFull);
-            }
-            match rq.gate.compare_exchange_weak(g, g + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(current) => g = current,
-            }
+    ) -> Result<Option<Pending>, SubmitError> {
+        let mut inbox = queue.lock();
+        if inbox.closed {
+            ServeStats::bump(&self.stats.rejected_shutdown);
+            return Err(SubmitError::ShuttingDown);
         }
-        let depth = (g & !GATE_CLOSED) + 1;
-        let tenant = pending.tenant;
+        if inbox.depth >= queue.capacity {
+            ServeStats::bump(&self.stats.rejected_full);
+            me_trace::counter_add("serve.rejected", 1);
+            return Err(SubmitError::QueueFull);
+        }
+        ServeStats::bump(&self.stats.enqueued);
+        ServeStats::bump(&self.stats.tenant_slot(pending.tenant).enqueued);
         if !has_thread {
-            // Synchronous fallback shard (spawn failed at startup): the
-            // request leaves the logical queue immediately.
-            ServeStats::bump(&self.stats.enqueued);
-            ServeStats::bump(&self.stats.tenant_slot(tenant).enqueued);
-            me_trace::counter_add("serve.enqueued", 1);
-            rq.gate.fetch_sub(1, Ordering::Relaxed);
-            self.execute_inline(pending);
-            return Ok(());
+            return Ok(Some(pending));
         }
-        let stats = &self.stats;
-        match rq.ring.push_with(pending, || {
-            ServeStats::bump(&stats.enqueued);
-            ServeStats::bump(&stats.tenant_slot(tenant).enqueued);
-            ServeStats::record_max(&stats.queue_high_water, depth);
-        }) {
-            Ok(()) => {
-                me_trace::counter_add("serve.enqueued", 1);
-                me_trace::hist_record("serve.queue_depth", depth);
-                rq.wake();
-                Ok(())
-            }
-            Err(_rejected) => {
-                // Unreachable by construction: the ring's physical size
-                // is ≥ the gate bound and retries never re-enter the
-                // ring, so an admitted push always finds a slot. Keep
-                // the books balanced anyway (no enqueued bump happened —
-                // the hook only runs on a claimed slot).
-                rq.gate.fetch_sub(1, Ordering::Relaxed);
-                ServeStats::bump(&self.stats.rejected_full);
-                me_trace::counter_add("serve.rejected", 1);
-                Err(SubmitError::QueueFull)
-            }
+        inbox.depth += 1;
+        let depth = inbox.depth as u64;
+        inbox.items.push_back(pending);
+        let wake = inbox.waiting;
+        drop(inbox);
+        // A waiting shard thread re-takes the lock on wakeup, so the
+        // notify need not hold it.
+        if wake {
+            queue.cv.notify_one();
         }
+        ServeStats::record_max(&self.stats.queue_high_water, depth);
+        me_trace::hist_record("serve.queue_depth", depth);
+        Ok(None)
     }
 
     /// Execute a request synchronously on the caller's thread (spawn
@@ -656,21 +496,8 @@ impl Scheduler {
     fn begin_shutdown(&self) {
         self.accepting.store(false, Ordering::Release);
         for queue in &self.queues {
-            match &**queue {
-                ShardQueue::Mutex(mq) => {
-                    let mut q = mq.lock();
-                    q.shutdown = true;
-                    mq.cv.notify_all();
-                }
-                ShardQueue::Ring(rq) => {
-                    rq.gate.fetch_or(GATE_CLOSED, Ordering::Relaxed);
-                    // Notify under the park lock: the shard thread
-                    // re-checks the closed bit under this same lock
-                    // before waiting, so the wakeup cannot be lost.
-                    let _guard = rq.park.lock().unwrap_or_else(|e| e.into_inner());
-                    rq.cv.notify_all();
-                }
-            }
+            queue.lock().closed = true;
+            queue.cv.notify_all();
         }
     }
 }
@@ -687,7 +514,6 @@ impl Drop for Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("queue", &self.queue_kind)
             .field("shards", &self.queues.len())
             .field("pool_width", &self.pool_width)
             .field("tenants", &self.tenant_weights.len())
@@ -699,11 +525,8 @@ impl std::fmt::Debug for Scheduler {
 ///
 /// Entries whose **deadline** has already expired are drained into
 /// `dead` instead of being dispatched — the caller resolves them
-/// `TimedOut` after releasing any queue lock (ticket slots are never
-/// locked under the queue mutex). Before this check, a retried request
-/// whose deadline passed mid-backoff would still be promoted and
-/// executed dead. Shared by both queue arms (the ring arm's `delayed` /
-/// `ready` are consumer-local, so no lock is involved there).
+/// `TimedOut`. Before this check, a retried request whose deadline
+/// passed mid-backoff would still be promoted and executed dead.
 fn promote_due(
     delayed: &mut Vec<Delayed>,
     ready: &mut VecDeque<Pending>,
@@ -731,7 +554,7 @@ fn promote_due(
     }
 }
 
-/// Deficit-weighted round-robin tenant selection (ring arm only).
+/// Deficit-weighted round-robin tenant selection.
 ///
 /// Classic DRR with a per-request cost of 1: each round-robin visit
 /// grants a tenant its weight in credit; the first backlogged tenant
@@ -825,8 +648,8 @@ impl FairState {
 /// Coalesce a batch out of the local ready queue: fair-select the next
 /// request to serve, then collect up to `batch_max` members of its
 /// bucket **in full queue order** (requests earlier in the queue that
-/// share the bucket ride along — FIFO-per-bucket is preserved exactly as
-/// on the mutex arm), charging each admitted request to its own tenant.
+/// share the bucket ride along, so FIFO-per-bucket holds), charging each
+/// admitted request to its own tenant.
 fn coalesce_fair(
     fair: &mut FairState,
     ready: &mut VecDeque<Pending>,
@@ -850,91 +673,17 @@ fn coalesce_fair(
     batch
 }
 
-/// The mutex-arm shard loop: the original lock-and-wait dequeue path,
-/// kept semantically intact as the differential baseline.
-fn mutex_shard_loop(ctx: ShardCtx, mq: &MutexQueue) {
-    me_trace::register_current_thread();
-    let pool = me_par::WorkerPool::new(ctx.width);
-    loop {
-        let mut shed: Vec<Pending> = Vec::new();
-        let mut batch: Vec<Pending> = Vec::new();
-        let mut dead: Vec<Pending> = Vec::new();
-        {
-            let mut q = mq.lock();
-            loop {
-                let now = Instant::now();
-                let qs = &mut *q;
-                promote_due(&mut qs.delayed, &mut qs.ready, now, &ctx.stats, &mut dead);
-                if !q.ready.is_empty() || !dead.is_empty() {
-                    break;
-                }
-                if q.shutdown && q.delayed.is_empty() {
-                    return;
-                }
-                if let Some(next) = q.delayed.iter().map(|d| d.ready_at).min() {
-                    let wait = next
-                        .saturating_duration_since(now)
-                        .max(Duration::from_micros(50));
-                    let (guard, _) =
-                        mq.cv.wait_timeout(q, wait).unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                } else {
-                    q = mq.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            // Drop-head load shedding: beyond the watermark, the oldest
-            // requests resolve Shed so queue latency stays bounded.
-            while q.ready.len() > ctx.shed_watermark {
-                if let Some(p) = q.ready.pop_front() {
-                    shed.push(p);
-                }
-            }
-            // Coalesce the head's bucket, preserving FIFO order within
-            // the bucket and the relative order of everything skipped.
-            if let Some(head) = q.ready.pop_front() {
-                let key = head.key;
-                batch.push(head);
-                if ctx.batch_max > 1 && !q.ready.is_empty() {
-                    let mut rest = VecDeque::with_capacity(q.ready.len());
-                    while let Some(p) = q.ready.pop_front() {
-                        if batch.len() < ctx.batch_max && p.key == key {
-                            batch.push(p);
-                        } else {
-                            rest.push_back(p);
-                        }
-                    }
-                    q.ready = rest;
-                }
-            }
-        }
-        for p in dead {
-            ServeStats::bump(&ctx.stats.retries_timed_out);
-            me_trace::counter_add("serve.retry_timeout", 1);
-            resolve(&ctx, p, Outcome::TimedOut);
-        }
-        for p in shed {
-            resolve(&ctx, p, Outcome::Shed);
-        }
-        if !batch.is_empty() {
-            let retries = execute_batch(&ctx, &pool, batch);
-            requeue_mutex(&ctx, mq, retries);
-        }
-        me_trace::flush_thread();
-    }
-}
-
-/// The ring-arm shard loop. The shard thread is the ring's only
-/// consumer: it drains admissions into a consumer-local ready queue (no
-/// lock), promotes due retries, fair-selects and coalesces a batch, and
-/// parks on the condvar only when there is genuinely nothing to do.
+/// The shard loop. The shard thread is the inbox's only consumer: it
+/// takes every admission in one `append` onto its local ready queue,
+/// waits on the condvar only when it has nothing ready and no retry is
+/// due, and does all queue work — promoting due retries, shedding, fair
+/// selection and coalescing — off the lock.
 ///
-/// Exit condition: the gate reads exactly `GATE_CLOSED` (closed, logical
-/// depth 0) and the local delayed queue is empty. Depth counts every
-/// admission from its gate-CAS until it leaves the queue into a batch /
-/// shed / dead set, so an in-flight admission (gate bumped, ring push
-/// not yet visible) holds the loop alive — a drained scheduler can never
-/// strand a request.
-fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
+/// Exit condition: the inbox is closed and empty and the local ready and
+/// delayed queues are empty. Admission happens under the lock and checks
+/// `closed` first, so no request can arrive after the loop has seen the
+/// closed, empty inbox.
+fn shard_loop(ctx: ShardCtx, queue: &ShardQueue) {
     me_trace::register_current_thread();
     let pool = me_par::WorkerPool::new(ctx.width);
     let mut ready: VecDeque<Pending> = VecDeque::new();
@@ -942,61 +691,43 @@ fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
     let mut delay_seq: u64 = 0;
     let mut fair = FairState::new(Arc::clone(&ctx.tenant_weights));
     loop {
-        while let Some(p) = rq.ring.pop() {
-            ready.push_back(p);
+        {
+            let mut inbox = queue.lock();
+            loop {
+                ready.append(&mut inbox.items);
+                let now = Instant::now();
+                let next_due = delayed.iter().map(|d| d.ready_at).min();
+                if !ready.is_empty() || next_due.is_some_and(|t| t <= now) {
+                    break;
+                }
+                if inbox.closed && next_due.is_none() {
+                    return;
+                }
+                inbox.waiting = true;
+                inbox = match next_due {
+                    Some(t) => {
+                        let wait = t
+                            .saturating_duration_since(now)
+                            .max(Duration::from_micros(50));
+                        queue.cv.wait_timeout(inbox, wait).unwrap_or_else(|e| e.into_inner()).0
+                    }
+                    None => queue.cv.wait(inbox).unwrap_or_else(|e| e.into_inner()),
+                };
+                inbox.waiting = false;
+            }
         }
         let mut dead: Vec<Pending> = Vec::new();
-        let now = Instant::now();
-        promote_due(&mut delayed, &mut ready, now, &ctx.stats, &mut dead);
-        if ready.is_empty() && dead.is_empty() {
-            if rq.gate.load(Ordering::Relaxed) == GATE_CLOSED && delayed.is_empty() {
-                return;
-            }
-            // Idle edge. Dekker handshake with producers: publish the
-            // intent to park, fence, then re-check the ring — either a
-            // racing producer's post-publish fence sees `parked` and
-            // takes the park lock to notify, or our re-check sees its
-            // item and we back out.
-            rq.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            if !rq.ring.is_empty() {
-                rq.parked.store(false, Ordering::Relaxed);
-                continue;
-            }
-            {
-                let guard = rq.park.lock().unwrap_or_else(|e| e.into_inner());
-                // Re-check under the lock: producers and shutdown notify
-                // while holding it, so a wakeup between our pre-lock
-                // check and the wait cannot be lost.
-                let closed = rq.gate.load(Ordering::Relaxed) & GATE_CLOSED != 0;
-                if rq.ring.is_empty() && !(closed && delayed.is_empty()) {
-                    if let Some(next) = delayed.iter().map(|d| d.ready_at).min() {
-                        let wait = next
-                            .saturating_duration_since(Instant::now())
-                            .max(Duration::from_micros(50));
-                        let _ = rq.cv.wait_timeout(guard, wait).unwrap_or_else(|e| e.into_inner());
-                    } else {
-                        drop(rq.cv.wait(guard).unwrap_or_else(|e| e.into_inner()));
-                    }
-                }
-            }
-            rq.parked.store(false, Ordering::Relaxed);
-            continue;
-        }
-        // Drop-head load shedding, same watermark semantics as the
-        // mutex arm.
-        let mut shed: Vec<Pending> = Vec::new();
-        while ready.len() > ctx.shed_watermark {
-            if let Some(p) = ready.pop_front() {
-                shed.push(p);
-            }
-        }
+        promote_due(&mut delayed, &mut ready, Instant::now(), &ctx.stats, &mut dead);
+        // Drop-head load shedding: beyond the watermark, the oldest
+        // requests resolve Shed so queue latency stays bounded.
+        let excess = ready.len().saturating_sub(ctx.shed_watermark);
+        let shed: Vec<Pending> = ready.drain(..excess).collect();
         let batch = coalesce_fair(&mut fair, &mut ready, ctx.batch_max);
         // Everything resolved or handed to execution has left the
-        // logical queue; free its admission-gate depth in one step.
-        let leaving = (dead.len() + shed.len() + batch.len()) as u64;
+        // logical queue; free its depth in one step.
+        let leaving = dead.len() + shed.len() + batch.len();
         if leaving > 0 {
-            rq.gate.fetch_sub(leaving, Ordering::Relaxed);
+            queue.lock().depth -= leaving;
         }
         for p in dead {
             ServeStats::bump(&ctx.stats.retries_timed_out);
@@ -1008,7 +739,7 @@ fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
         }
         if !batch.is_empty() {
             let retries = execute_batch(&ctx, &pool, batch);
-            requeue_ring(&ctx, rq, &mut delayed, &mut delay_seq, retries);
+            requeue(&ctx, queue, &mut delayed, &mut delay_seq, retries);
         }
         me_trace::flush_thread();
     }
@@ -1034,52 +765,19 @@ fn retry_schedule(ctx: &ShardCtx, pending: &Pending, now: Instant) -> Option<Ins
     }
 }
 
-/// Requeue retries on the mutex arm (under the queue lock; dead-on-
-/// requeue requests resolve after it drops — ticket slots are never
-/// locked under the queue mutex).
-fn requeue_mutex(ctx: &ShardCtx, mq: &MutexQueue, retries: Vec<Pending>) {
-    if retries.is_empty() {
-        return;
-    }
-    let mut dead: Vec<Pending> = Vec::new();
-    {
-        let mut q = mq.lock();
-        let now = Instant::now();
-        for pending in retries {
-            match retry_schedule(ctx, &pending, now) {
-                None => {
-                    ServeStats::bump(&ctx.stats.retries_timed_out);
-                    me_trace::counter_add("serve.retry_timeout", 1);
-                    dead.push(pending);
-                }
-                Some(ready_at) => {
-                    ServeStats::bump(&ctx.stats.retries);
-                    me_trace::counter_add("serve.retry", 1);
-                    let seq = q.delay_seq;
-                    q.delay_seq += 1;
-                    q.delayed.push(Delayed { ready_at, seq, pending });
-                }
-            }
-        }
-        mq.cv.notify_all();
-    }
-    for pending in dead {
-        resolve(ctx, pending, Outcome::TimedOut);
-    }
-}
-
-/// Requeue retries on the ring arm: the delayed queue is consumer-local,
-/// so no lock — but each re-entering request re-claims admission-gate
-/// depth (retries re-enter above the capacity bound, exactly like the
-/// mutex arm's `ready + delayed` accounting).
-fn requeue_ring(
+/// Requeue retries on the shard thread's local delayed queue. Each
+/// re-entering request re-claims logical depth under one short lock,
+/// above the capacity bound, so an admitted request is never lost to its
+/// own retry.
+fn requeue(
     ctx: &ShardCtx,
-    rq: &RingQueue,
+    queue: &ShardQueue,
     delayed: &mut Vec<Delayed>,
     delay_seq: &mut u64,
     retries: Vec<Pending>,
 ) {
     let now = Instant::now();
+    let before = delayed.len();
     for pending in retries {
         match retry_schedule(ctx, &pending, now) {
             None => {
@@ -1090,12 +788,14 @@ fn requeue_ring(
             Some(ready_at) => {
                 ServeStats::bump(&ctx.stats.retries);
                 me_trace::counter_add("serve.retry", 1);
-                rq.gate.fetch_add(1, Ordering::Relaxed);
-                let seq = *delay_seq;
+                delayed.push(Delayed { ready_at, seq: *delay_seq, pending });
                 *delay_seq += 1;
-                delayed.push(Delayed { ready_at, seq, pending });
             }
         }
+    }
+    let reentered = delayed.len() - before;
+    if reentered > 0 {
+        queue.lock().depth += reentered;
     }
 }
 
@@ -1127,7 +827,7 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Execute one coalesced batch and resolve every member in FIFO order.
 /// Members that failed transiently and still have retry budget are
-/// returned to the caller for arm-specific requeueing (their `attempt`
+/// returned to the caller for requeueing (their `attempt`
 /// already incremented).
 fn execute_batch(ctx: &ShardCtx, pool: &me_par::WorkerPool, batch: Vec<Pending>) -> Vec<Pending> {
     let _b = me_trace::span("serve.batch", "serve");

@@ -1,6 +1,6 @@
 //! Weighted-fair admission and SLO-percentile property tests.
 //!
-//! The ring arm's deficit round-robin (DESIGN.md §14) promises
+//! The shard's deficit round-robin (DESIGN.md §14) promises
 //! *work-conserving weighted fairness*: when several tenants are
 //! backlogged, dequeues converge to the configured weight ratio; when
 //! only one tenant has work, it gets the full shard (no idling on
@@ -16,14 +16,14 @@ use std::time::Duration;
 
 use me_linalg::{KernelVariant, Mat};
 use me_numerics::Rng64;
-use me_serve::{Job, Outcome, QueueKind, Scheduler, ServeConfig, TenantId, Ticket};
+use me_serve::{Job, Outcome, Scheduler, ServeConfig, TenantId, Ticket};
 
 fn mat(m: usize, n: usize, seed: u64) -> Arc<Mat<f64>> {
     let mut rng = Rng64::seed_from_u64(seed);
     Arc::new(Mat::from_fn(m, n, |_, _| rng.range_f64(-1.0, 1.0)))
 }
 
-/// Build a single-shard, single-thread ring scheduler with the given
+/// Build a single-shard, single-thread scheduler with the given
 /// weights and a queue deep enough for the whole test backlog.
 fn plugged_scheduler(weights: Vec<u64>) -> Scheduler {
     Scheduler::new(ServeConfig {
@@ -31,7 +31,6 @@ fn plugged_scheduler(weights: Vec<u64>) -> Scheduler {
         shard_threads: 1,
         queue_capacity: 1024,
         batch_max: 1, // one dequeue per DRR decision: order == fairness
-        queue: Some(QueueKind::Ring),
         tenant_weights: weights,
         ..Default::default()
     })
@@ -67,13 +66,13 @@ fn orders(tickets: Vec<(u32, Ticket)>) -> Vec<(u64, u32)> {
 
 /// Two backlogged tenants with weights 1:3 are served ≈1:3.
 ///
-/// While the plug executes, 200 requests per tenant pile up in the ring;
+/// While the plug executes, 200 requests per tenant pile up in the inbox;
 /// once it finishes, the DRR dequeues from a fully backlogged state. In
 /// any window where both tenants still have work, weight-3 tenant 1 must
 /// receive 3 of every 4 grants (±banked-credit jitter of one quantum).
 /// Over the first 160 post-plug resolutions the exact DRR count is 120;
 /// the assertion allows [100, 140] so scheduler-internal batching of the
-/// ring drain cannot flake it.
+/// inbox drain cannot flake it.
 #[test]
 fn two_tenants_converge_to_weight_ratio_under_saturation() {
     let sched = plugged_scheduler(vec![1, 3]);
@@ -183,42 +182,38 @@ fn tenant_books_balance_and_fold_modulo() {
 }
 
 /// The snapshot's SLO percentiles are wired to the recorded latencies:
-/// count matches resolutions, the quantiles are ordered, every recorded
-/// latency is ≤ the p100-style upper bound implied by the histogram, and
-/// both queue arms expose the same plumbing.
+/// count matches resolutions, the quantiles are ordered, and the
+/// snapshot's p50/p99 are the histogram's own quantiles.
 #[test]
 fn snapshot_percentiles_track_recorded_latencies() {
-    for kind in [QueueKind::Mutex, QueueKind::Ring] {
-        let sched = Scheduler::new(ServeConfig {
-            shards: 1,
-            shard_threads: 2,
-            queue_capacity: 256,
-            queue: Some(kind),
-            ..Default::default()
-        });
-        let b = mat(4, 3, 500);
-        let tickets: Vec<_> = (0..64u64)
-            .map(|i| {
-                sched
-                    .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(2, 4, 5_000 + i), Arc::clone(&b)))
-                    .expect("fits")
-            })
-            .collect();
-        for t in tickets {
-            assert!(matches!(t.wait().outcome, Outcome::Ok(_)));
-        }
-        let hist = sched.latency_histogram();
-        let stats = sched.shutdown();
-        assert!(stats.is_conserved(), "{kind:?}: {stats:?}");
-        assert_eq!(stats.latency_count, 64, "{kind:?}: one latency sample per resolution");
-        assert!(hist.is_consistent(), "{kind:?}");
-        assert_eq!(hist.count, 64, "{kind:?}");
-        assert!(
-            stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns,
-            "{kind:?}: quantiles out of order: {stats:?}"
-        );
-        assert!(stats.p50_ns > 0, "{kind:?}: a real GEMM takes nonzero time");
-        assert_eq!(stats.p50_ns, hist.quantile(0.50), "{kind:?}: snapshot p50 is the histogram's");
-        assert_eq!(stats.p99_ns, hist.quantile(0.99), "{kind:?}: snapshot p99 is the histogram's");
+    let sched = Scheduler::new(ServeConfig {
+        shards: 1,
+        shard_threads: 2,
+        queue_capacity: 256,
+        ..Default::default()
+    });
+    let b = mat(4, 3, 500);
+    let tickets: Vec<_> = (0..64u64)
+        .map(|i| {
+            sched
+                .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(2, 4, 5_000 + i), Arc::clone(&b)))
+                .expect("fits")
+        })
+        .collect();
+    for t in tickets {
+        assert!(matches!(t.wait().outcome, Outcome::Ok(_)));
     }
+    let hist = sched.latency_histogram();
+    let stats = sched.shutdown();
+    assert!(stats.is_conserved(), "{stats:?}");
+    assert_eq!(stats.latency_count, 64, "one latency sample per resolution");
+    assert!(hist.is_consistent());
+    assert_eq!(hist.count, 64);
+    assert!(
+        stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns,
+        "quantiles out of order: {stats:?}"
+    );
+    assert!(stats.p50_ns > 0, "a real GEMM takes nonzero time");
+    assert_eq!(stats.p50_ns, hist.quantile(0.50), "snapshot p50 is the histogram's");
+    assert_eq!(stats.p99_ns, hist.quantile(0.99), "snapshot p99 is the histogram's");
 }

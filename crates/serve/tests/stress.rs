@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use me_linalg::{KernelVariant, Mat};
 use me_ozaki::OzakiConfig;
-use me_serve::{Job, Scheduler, ServeConfig, SubmitError, TenantId};
+use me_serve::{Job, Outcome, Scheduler, ServeConfig, SubmitError, TenantId};
 
 fn mat(m: usize, n: usize, seed: u64) -> Arc<Mat<f64>> {
     let mut rng = me_numerics::Rng64::seed_from_u64(seed);
@@ -226,4 +226,75 @@ fn shedding_bounds_the_backlog() {
     assert!(stats.shed > 0, "backlog of 32 over watermark 4 must shed: {stats:?}");
     let shed_ids: Vec<u64> = followers.iter().filter(|t| t.resolutions() == 1).map(|t| t.id()).collect();
     assert_eq!(shed_ids.len(), 32, "every follower resolved exactly once");
+}
+
+/// Hostile input must not stall or fail a shard: an Ozaki job whose A
+/// holds `+∞`, `−∞` and `f64::MAX` resolves `Ok`, with the finite rows
+/// still finite. (The special values themselves are not yet DGEMM's.)
+#[test]
+fn non_finite_ozaki_inputs_resolve_ok() {
+    let sched = Scheduler::new(ServeConfig { shards: 1, shard_threads: 1, ..Default::default() });
+    let n = 16usize;
+    let mut a = Mat::from_fn(n, n, |i, j| ((i * n + j) as f64).sin());
+    a[(1, 3)] = f64::INFINITY;
+    a[(5, 0)] = f64::NEG_INFINITY;
+    a[(9, 7)] = f64::MAX;
+    let job = Job::ozaki(OzakiConfig::dgemm_tc(), Arc::new(a), mat(n, n, 31));
+    let ticket = sched.submit(job).expect("empty queue accepts");
+    match ticket.wait().outcome {
+        Outcome::Ok(c) => {
+            assert_eq!(c.shape(), (n, n));
+            assert!(c.row(0).iter().all(|v| v.is_finite()), "finite row 0: {:?}", c.row(0));
+        }
+        other => panic!("non-finite Ozaki job did not resolve Ok: {other:?}"),
+    }
+    let stats = sched.shutdown();
+    assert!(stats.is_conserved(), "{stats:?}");
+}
+
+/// The capacity bound counts an admitted request until it leaves the
+/// queue, and frees it when it does. Each round parks the shard thread on
+/// a plug request (observed through the `batches` counter, which bumps
+/// once the plug has left the queue), fills the queue to exactly
+/// `queue_capacity`, checks the next admission rejects, then drains.
+/// Every round must get the whole capacity back.
+#[test]
+fn capacity_is_held_while_queued_and_freed_on_dequeue() {
+    const CAP: usize = 4;
+    let sched = Scheduler::new(ServeConfig {
+        shards: 1,
+        shard_threads: 1,
+        queue_capacity: CAP,
+        batch_max: 1,
+        ..Default::default()
+    });
+    let n = 256usize;
+    let b = mat(4, 4, 41);
+    for round in 0..5u64 {
+        let before = sched.stats().batches;
+        let plug = sched
+            .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(n, n, round), mat(n, n, 100 + round)))
+            .expect("drained queue accepts the plug");
+        while sched.stats().batches == before {
+            std::thread::yield_now();
+        }
+        let small =
+            |seed: u64| Job::gemm(KernelVariant::Scalar, 1.0, mat(1, 4, seed), Arc::clone(&b));
+        let queued: Vec<_> = (0..CAP as u64)
+            .map(|i| sched.submit(small(10 * round + i)).expect("room up to the capacity"))
+            .collect();
+        let over = sched.submit(small(99));
+        assert!(
+            matches!(over, Err(SubmitError::QueueFull)),
+            "round {round}: admission beyond capacity must reject"
+        );
+        assert!(matches!(plug.wait().outcome, Outcome::Ok(_)));
+        for t in queued {
+            assert!(matches!(t.wait().outcome, Outcome::Ok(_)));
+        }
+    }
+    let stats = sched.shutdown();
+    assert!(stats.is_conserved(), "{stats:?}");
+    assert_eq!(stats.rejected_full, 5);
+    assert!(stats.queue_high_water <= CAP as u64, "{stats:?}");
 }
