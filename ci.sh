@@ -14,11 +14,13 @@
 #   6. traced smoke run of the same bench (ME_BENCH_TRACE=1): emits
 #      artifacts/parallel_scaling_trace.json + .prom and structurally
 #      validates the Chrome JSON in-process (lanes, span names, events)
-#   7. kernel matrix: the cross-variant differential harness plus the
-#      trace-integration suite under every micro-kernel the host can run
-#      (ME_KERNEL=scalar, avx2 when CPUID has avx2+fma, and
-#      avx512 when it has avx512f), proving the dispatch override and
-#      the bitwise-identity contract on each variant independently
+#   7. kernel matrix: the cross-variant differential harness (with its
+#      tile-free per-element oracle), the prepacked-B differential (the
+#      NR-wide panel layout every variant reads) and the trace-integration
+#      suite under every micro-kernel the host can run (ME_KERNEL=scalar,
+#      avx2 when CPUID has avx2+fma, and avx512 when it has avx512f),
+#      proving the dispatch override and the bitwise-identity contract on
+#      each variant independently
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps), the whole me-linalg
 #      suite (half operands run the one packed GEMM core, so no name
@@ -94,7 +96,8 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null; then
 fi
 for K in $KERNELS; do
     echo "==>   ME_KERNEL=$K"
-    ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration
+    ME_KERNEL=$K cargo test -q --test kernel_differential --test prepacked_differential \
+        --test trace_integration
 done
 
 echo "==> half-precision stage: f16/bf16 codec suite, whole me-linalg + me-ozaki suites (both parallelisms)"

@@ -421,10 +421,11 @@ fn pack_bt<A: GemmOperand>(
 /// Loop order is NC column blocks (outermost) → KC chunks (the shared
 /// grid: every element sees the same k-chunking regardless of the row
 /// partition, so parallel == serial bitwise) → MC cache blocks of packed
-/// A → MR×NR micro-tiles against the B panel — fresh-packed into scratch
-/// or borrowed from a [`PackedB`], byte-identical either way. The MR×NR
-/// tile itself runs the caller-pinned [`ukernel`] variant; the write-back
-/// stays scalar in every variant (part of the bitwise-identity contract).
+/// A → NR-column B micro-panels → MR-row A micro-panels (the BLIS order)
+/// against the B panel — fresh-packed into scratch or borrowed from a
+/// [`PackedB`], byte-identical either way. The MR×NR tile itself runs the
+/// caller-pinned [`ukernel`] variant; the write-back stays scalar in every
+/// variant (part of the bitwise-identity contract).
 ///
 /// Of `blocking` only `kc` is numerically observable (it sets the
 /// per-element FMA grouping); `mc`/`nc` merely reorder independent
@@ -494,14 +495,17 @@ pub(crate) fn gemm_packed_panel<A: GemmOperand>(
                     // One span per MC block (not per micro-tile: the tile loop
                     // is too hot); covers the kernel and its write-back.
                     let _t = me_trace::span("gemm.micro_kernel", "linalg");
-                    for it in 0..mc.div_ceil(MR) {
-                        let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-                        let mr = MR.min(mc - it * MR);
-                        for jt in 0..ntiles_n {
-                            let bp = &bpanel[jt * NR * kc..jt * NR * kc + NR * kc];
+                    // BLIS order: one NR-column B micro-panel (NR·kc values)
+                    // stays in L1 while the block's A micro-panels, packed
+                    // into L2, stream past it.
+                    for jt in 0..ntiles_n {
+                        let bp = &bpanel[jt * NR * kc..jt * NR * kc + NR * kc];
+                        let j0 = jb + jt * NR;
+                        let nc = NR.min(n - j0);
+                        for it in 0..mc.div_ceil(MR) {
+                            let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
+                            let mr = MR.min(mc - it * MR);
                             let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                            let j0 = jb + jt * NR;
-                            let nc = NR.min(n - j0);
                             for (r, accr) in acc.iter().enumerate().take(mr) {
                                 let crow = &mut c.row_mut(ib + it * MR + r)[j0..j0 + nc];
                                 // `av + cv` is bitwise `1·av + cv` fused (the

@@ -45,38 +45,49 @@ impl Blocking {
     /// `KC = 256`, and an effectively full-width B panel.
     pub const DEFAULT: Blocking = Blocking { mc: 64, kc: 256, nc: 4096 };
 
+    /// Largest `mc` and `kc` the override/startup slots hold (16 bits each).
+    const MAX_MC_KC: usize = 0xffff;
+    /// Largest `nc` the slots hold: the last NR multiple that fits 32 bits.
+    const MAX_NC: usize = u32::MAX as usize / NR * NR;
+
     /// Clamp a requested triple to the grid the packed core supports:
-    /// `mc >= MR`, `kc >= 1`, `nc >= NR` and a multiple of NR (so packed
-    /// tiles within an NC block line up with the panel layout).
+    /// `MR <= mc <= MAX_MC_KC`, `1 <= kc <= MAX_MC_KC`, and
+    /// `NR <= nc <= MAX_NC` a multiple of NR (so packed tiles within an NC
+    /// block line up with the panel layout). The upper bounds are what the
+    /// dispatch slots encode, so a triple installed there reads back as
+    /// the triple that runs.
     pub fn normalized(self) -> Blocking {
         Blocking {
-            mc: self.mc.max(MR),
-            kc: self.kc.max(1),
-            nc: self.nc.max(NR).next_multiple_of(NR),
+            mc: self.mc.clamp(MR, Self::MAX_MC_KC),
+            kc: self.kc.clamp(1, Self::MAX_MC_KC),
+            nc: self.nc.div_ceil(NR).clamp(1, Self::MAX_NC / NR) * NR,
         }
     }
 
-    /// Parse one `mc,kc,nc` triple (decimal, comma-separated).
+    /// Parse one `mc,kc,nc` triple (decimal, comma-separated). Zero and
+    /// values above `MAX_MC_KC` / `MAX_NC` are rejected rather than
+    /// clamped: `kc` is numerically observable, so a request must not
+    /// silently run another one.
     pub fn parse(s: &str) -> Option<Blocking> {
         let mut it = s.split(',').map(str::trim);
         let mc = it.next()?.parse::<usize>().ok()?;
         let kc = it.next()?.parse::<usize>().ok()?;
         let nc = it.next()?.parse::<usize>().ok()?;
-        if it.next().is_some() || mc == 0 || kc == 0 || nc == 0 {
+        let in_range = (1..=Self::MAX_MC_KC).contains(&mc)
+            && (1..=Self::MAX_MC_KC).contains(&kc)
+            && (1..=Self::MAX_NC).contains(&nc);
+        if it.next().is_some() || !in_range {
             return None;
         }
         Some(Blocking { mc, kc, nc }.normalized())
     }
 
     /// Encode into the nonzero u64 used by the override/startup slots:
-    /// `mc` in bits 0..16, `kc` in 16..32, `nc/NR` in 32..64. Triples
-    /// beyond those ranges are clamped; a normalized triple is never 0.
+    /// `mc` in bits 0..16, `kc` in 16..32, `nc/NR` in 32..64 — exactly the
+    /// ranges [`Self::normalized`] clamps to; a normalized triple is never 0.
     fn encode(self) -> u64 {
         let b = self.normalized();
-        let mc = b.mc.min(0xffff) as u64;
-        let kc = b.kc.min(0xffff) as u64;
-        let nct = (b.nc / NR).min(u32::MAX as usize) as u64;
-        mc | (kc << 16) | (nct << 32)
+        b.mc as u64 | (b.kc as u64) << 16 | ((b.nc / NR) as u64) << 32
     }
 
     fn decode(raw: u64) -> Option<Blocking> {
@@ -241,6 +252,38 @@ mod tests {
             assert_eq!(Blocking::decode(n.encode()), Some(n));
         }
         assert_eq!(Blocking::decode(0), None);
+    }
+
+    #[test]
+    fn out_of_range_triples_are_rejected_by_parse_and_clamped_by_normalized() {
+        // kc = 70000 once parsed, then ran and reported as kc = 65535.
+        assert_eq!(Blocking::parse("64,70000,4096"), None);
+        let t = BlockingDispatch::from_env(Some("64,70000,4096"));
+        assert_eq!(t.for_variant(KernelVariant::Scalar), Blocking::DEFAULT);
+        let t = BlockingDispatch::from_env(Some("avx2=64,256,4096;scalar=70000,256,4096"));
+        assert_eq!(t.for_variant(KernelVariant::Avx2), Blocking::DEFAULT, "no partial application");
+        // Seeded triples spanning both sides of every bound: parse accepts
+        // exactly the encodable ones, and an installed override reads back
+        // as the normalized triple the packed core runs.
+        let mut state = 0x5EED_B10Cu64;
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let bits = (state >> 58) as u32; // 0..64: magnitudes up to 2^63
+            ((state >> 8) & ((1u64 << bits) - 1).max(1)) as usize
+        };
+        for _ in 0..2000 {
+            let b = Blocking { mc: draw(), kc: draw(), nc: draw() };
+            let encodable = (1..=Blocking::MAX_MC_KC).contains(&b.mc)
+                && (1..=Blocking::MAX_MC_KC).contains(&b.kc)
+                && (1..=Blocking::MAX_NC).contains(&b.nc);
+            let text = format!("{},{},{}", b.mc, b.kc, b.nc);
+            assert_eq!(Blocking::parse(&text), encodable.then(|| b.normalized()), "{text}");
+            let n = b.normalized();
+            assert_eq!(n.normalized(), n, "{text}: normalized is idempotent");
+            let t = BlockingDispatch::from_env(None);
+            t.set_override(KernelVariant::Avx512, Some(b));
+            assert_eq!(t.for_variant(KernelVariant::Avx512), n, "{text}");
+        }
     }
 
     #[test]

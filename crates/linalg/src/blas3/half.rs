@@ -231,7 +231,8 @@ pub fn gemm_half_f32(
     assert!(out.len() >= m * n, "gemm_half_f32: output too short");
     let a = HalfLines { kind, rows: m, cols: kc, ld: lda, data: a };
     let bt = HalfLines { kind, rows: n, cols: kc, ld: ldb, data: bt };
-    let blocking = Blocking { mc: m, kc, nc: n }.normalized();
+    // One engine call is one k-chunk however long: only mc/nc normalize.
+    let blocking = Blocking { kc: kc.max(1), ..Blocking { mc: m, kc, nc: n }.normalized() };
     let mut c = MatMut::from_slice(m, n, &mut out[..m * n]);
     let (variant, b) = (variant.resolve_supported(), BOperand::Transposed(&bt));
     gemm_packed_panel(variant, blocking, 1.0, &a, kc, &b, 0.0, &mut c, 0);

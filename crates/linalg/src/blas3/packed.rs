@@ -174,11 +174,18 @@ mod tests {
 
     #[test]
     fn bytes_accounts_for_padding() {
-        // n = 9 with NR = 8 packs two tiles per full-width block.
-        let b = mk(4, 9, 3);
-        let packed = pack_b_matrix(&b, Blocking { mc: MR, kc: 256, nc: 4096 });
-        assert_eq!(packed.bytes(), 2 * NR * 4 * std::mem::size_of::<f64>());
-        assert_eq!((packed.k(), packed.n()), (4, 9));
+        // A full-width block packs n.div_ceil(NR) zero-padded tiles; one
+        // column past a whole tile (n = NR + 1) costs a second tile.
+        for n in [1, 9, NR - 1, NR, NR + 1, 2 * NR + 3] {
+            let b = mk(4, n, 3);
+            let packed = pack_b_matrix(&b, Blocking { mc: MR, kc: 256, nc: 4096 });
+            let tiles = n.div_ceil(NR);
+            assert_eq!(packed.bytes(), tiles * NR * 4 * std::mem::size_of::<f64>(), "n={n}");
+            assert_eq!((packed.k(), packed.n()), (4, n));
+            if n == NR + 1 {
+                assert_eq!(tiles, 2, "n = NR + 1 must pack two tiles");
+            }
+        }
     }
 
     #[test]

@@ -3,19 +3,27 @@
 //! The paper frames matrix engines as the "next natural step" after SIMD
 //! (§II-A, §V-B1) — which only means something if the SIMD baseline being
 //! stepped past is credible. This module gives the measured host substrate
-//! real arch-specific kernels instead of one scalar `mul_add` chain:
+//! real arch-specific kernels instead of one scalar `mul_add` chain.
 //!
-//! - [`KernelVariant::Scalar`] — the strictly-scalar MR×NR register tile
-//!   (one `mul_add` per accumulator per k step): the reference every
-//!   other variant must match, and the one that runs on every platform,
+//! Every variant and element type runs the one shared MR×NR = 8×16 tile,
+//! so the packed layout ([`super::PackedB`], the weight cache) never
+//! depends on the variant. What differs is how the tile is blocked into
+//! registers. Covering FMA latency takes latency × ports ≈ 4 × 2 = 8
+//! independent accumulator chains:
+//!
+//! - [`KernelVariant::Scalar`] — the strictly-scalar tile (one `mul_add`
+//!   per accumulator per k step): the reference every other variant must
+//!   match, and the one that runs on every platform.
 //! - [`KernelVariant::Avx2`] — hand-written `core::arch::x86_64`
-//!   intrinsics: 4-lane `__m256d` accumulator tiles for f64 (two registers
-//!   per row) and an 8-lane `__m256` sibling for f32, selected only when
-//!   `is_x86_feature_detected!` proves AVX2 *and* FMA at startup.
-//! - [`KernelVariant::Avx512`] — 8-lane `__m512d` tiles for f64 (one
-//!   register per C row) and a 16-lane `__m512` f32 sibling packing two C
-//!   rows per register, AVX512F-only intrinsics, selected when
-//!   `is_x86_feature_detected!("avx512f")` holds.
+//!   intrinsics, selected only when `is_x86_feature_detected!` proves
+//!   AVX2 *and* FMA at startup. Its 16 `ymm` registers cannot hold the
+//!   whole tile, so it runs register-sized sub-tiles with 8 chains each:
+//!   four 4×8 f64 quadrants (two `__m256d` per row) and two 4×16 f32
+//!   halves (two `__m256` per row).
+//! - [`KernelVariant::Avx512`] — AVX512F-only intrinsics, selected when
+//!   `is_x86_feature_detected!("avx512f")` holds: for f64, 8 rows × two
+//!   `__m512d` = 16 chains (2 B loads and 8 broadcasts per 16 FMAs); for
+//!   f32, 8 rows × one `__m512` = 8 chains.
 //!
 //! **Bitwise-identity contract.** Every variant performs, for each of the
 //! MR×NR accumulators, exactly one fused multiply-add per k step in
@@ -37,10 +45,10 @@
 use crate::mat::Scalar;
 
 /// Micro-tile height in C rows (register rows per kernel invocation).
-pub const MR: usize = 4;
-/// Micro-tile width in C columns — one 8-lane f32 register, or two 4-lane
-/// f64 registers.
-pub const NR: usize = 8;
+pub const MR: usize = 8;
+/// Micro-tile width in C columns — one 16-lane f32 register, or two
+/// 8-lane f64 registers, on AVX-512.
+pub const NR: usize = 16;
 
 /// Environment variable forcing a kernel variant at startup
 /// (`scalar` | `avx2` | `avx512`, case-insensitive).
@@ -55,8 +63,8 @@ pub enum KernelVariant {
     Scalar,
     /// Hand-written AVX2+FMA intrinsics (x86-64 only, runtime-detected).
     Avx2,
-    /// Hand-written AVX-512F intrinsics: 8-wide f64 / 16-wide f32 tiles
-    /// (x86-64 only, runtime-detected).
+    /// Hand-written AVX-512F intrinsics: 8-lane f64 / 16-lane f32
+    /// registers (x86-64 only, runtime-detected).
     Avx512,
 }
 
@@ -175,8 +183,8 @@ pub fn avx2_supported() -> bool {
 }
 
 /// Does the host expose AVX-512 Foundation? AVX512F alone suffices: the
-/// kernels use only `vmovup{s,d}`, `vbroadcasts{s,d}`-class splats,
-/// `vpermps`, and `vfmadd` at 512-bit width — all Foundation
+/// kernels use only `vmovup{s,d}`, `vbroadcasts{s,d}`-class splats and
+/// `vfmadd` at 512-bit width — all Foundation
 /// instructions (no DQ/BW/VL dependency). Always `false` off x86-64.
 pub fn avx512_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -393,14 +401,15 @@ fn micro_kernel_avx2<T: Scalar>(
     micro_kernel_scalar(ap, bp, kc)
 }
 
-/// 4×8 f64 micro-kernel on AVX2+FMA.
+/// 8×16 f64 micro-kernel on AVX2+FMA, run as four 4×8 quadrants.
 ///
-/// Register layout: `acc[r]` holds row `r` of the C tile as two 4-lane
-/// `__m256d` (columns 0..4 and 4..8). Per k step: two unaligned loads of
-/// the packed-B row, then for each of the MR rows one broadcast of the
-/// packed-A value and one `vfmaddpd` per half — exactly one fused
-/// multiply-add per accumulator per k step, ascending k, matching the
-/// scalar kernel's rounding order lane for lane.
+/// The 16 `ymm` registers cannot hold the tile's 32 four-lane
+/// accumulators, so each quadrant `(r0, c0)` runs the k loop on its own:
+/// `acc[r]` holds row `r0 + r`, columns `c0..c0 + 8`, as two `__m256d`
+/// (8 chains, plus two B loads and one broadcast in flight). Per k step
+/// each accumulator receives exactly one `vfmaddpd`, ascending k,
+/// matching the scalar kernel's rounding order lane for lane; the
+/// quadrants only regroup independent elements.
 ///
 /// # Safety
 ///
@@ -414,32 +423,38 @@ unsafe fn avx2_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
         _mm256_broadcast_sd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd,
         _mm256_storeu_pd,
     };
-    let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-    for p in 0..kc {
-        // SAFETY (pointer arithmetic): p < kc and the caller guarantees
-        // bp holds kc * NR elements, so both 4-lane loads stay in bounds.
-        let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
-        let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
-        let av = &ap[p * MR..(p + 1) * MR];
-        for (accr, ar) in acc.iter_mut().zip(av) {
-            let a = _mm256_broadcast_sd(ar);
-            accr[0] = _mm256_fmadd_pd(a, b0, accr[0]);
-            accr[1] = _mm256_fmadd_pd(a, b1, accr[1]);
-        }
-    }
     let mut out = [[0.0f64; NR]; MR];
-    for (outr, accr) in out.iter_mut().zip(&acc) {
-        // SAFETY: outr is an [f64; 8]; the two stores cover lanes 0..4
-        // and 4..8 exactly.
-        _mm256_storeu_pd(outr.as_mut_ptr(), accr[0]);
-        _mm256_storeu_pd(outr.as_mut_ptr().add(4), accr[1]);
+    for r0 in (0..MR).step_by(4) {
+        for c0 in (0..NR).step_by(8) {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for p in 0..kc {
+                // SAFETY (pointer arithmetic): p < kc, r0 + 4 <= MR and
+                // c0 + 8 <= NR, and the caller guarantees ap holds kc * MR
+                // and bp kc * NR elements, so every access stays in bounds.
+                let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + c0));
+                let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + c0 + 4));
+                let av = ap.as_ptr().add(p * MR + r0);
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    let a = _mm256_broadcast_sd(&*av.add(r));
+                    accr[0] = _mm256_fmadd_pd(a, b0, accr[0]);
+                    accr[1] = _mm256_fmadd_pd(a, b1, accr[1]);
+                }
+            }
+            for (outr, accr) in out[r0..r0 + 4].iter_mut().zip(&acc) {
+                // SAFETY: outr is an [f64; NR] and c0 + 8 <= NR, so the two
+                // stores cover lanes c0..c0 + 8 inside it.
+                _mm256_storeu_pd(outr.as_mut_ptr().add(c0), accr[0]);
+                _mm256_storeu_pd(outr.as_mut_ptr().add(c0 + 4), accr[1]);
+            }
+        }
     }
     out
 }
 
-/// 4×8 f32 micro-kernel on AVX2+FMA: one 8-lane `__m256` accumulator per
-/// C-tile row, one `vfmaddps` per row per k step (ascending k) — the
-/// 8-lane sibling of [`avx2_f64`] with the identical rounding order.
+/// 8×16 f32 micro-kernel on AVX2+FMA, run as two 4×16 halves: `acc[r]`
+/// holds row `r0 + r` as two 8-lane `__m256` (8 chains per half). One
+/// `vfmaddps` per accumulator per k step, ascending k — the f32 sibling
+/// of [`avx2_f64`] with the identical rounding order.
 ///
 /// # Safety
 ///
@@ -453,21 +468,26 @@ unsafe fn avx2_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
         _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
-    let mut acc = [_mm256_setzero_ps(); MR];
-    for p in 0..kc {
-        // SAFETY (pointer arithmetic): p < kc and the caller guarantees
-        // bp holds kc * NR elements, so the 8-lane load stays in bounds.
-        let b = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-        let av = &ap[p * MR..(p + 1) * MR];
-        for (accr, ar) in acc.iter_mut().zip(av) {
-            let a = _mm256_broadcast_ss(ar);
-            *accr = _mm256_fmadd_ps(a, b, *accr);
-        }
-    }
     let mut out = [[0.0f32; NR]; MR];
-    for (outr, accr) in out.iter_mut().zip(&acc) {
-        // SAFETY: outr is an [f32; 8]; one 8-lane store covers it exactly.
-        _mm256_storeu_ps(outr.as_mut_ptr(), *accr);
+    for r0 in (0..MR).step_by(4) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+        for p in 0..kc {
+            // SAFETY (pointer arithmetic): p < kc and r0 + 4 <= MR, and the
+            // caller guarantees ap holds kc * MR and bp kc * NR elements.
+            let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
+            let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + 8));
+            let av = ap.as_ptr().add(p * MR + r0);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a = _mm256_broadcast_ss(&*av.add(r));
+                accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
+                accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
+            }
+        }
+        for (outr, accr) in out[r0..r0 + 4].iter_mut().zip(&acc) {
+            // SAFETY: outr is an [f32; 16]; the two stores cover it exactly.
+            _mm256_storeu_ps(outr.as_mut_ptr(), accr[0]);
+            _mm256_storeu_ps(outr.as_mut_ptr().add(8), accr[1]);
+        }
     }
     out
 }
@@ -531,14 +551,16 @@ fn micro_kernel_avx512<T: Scalar>(
     micro_kernel_scalar(ap, bp, kc)
 }
 
-/// 4×8 f64 micro-kernel on AVX512F.
+/// 8×16 f64 micro-kernel on AVX512F.
 ///
-/// Register layout: `acc[r]` holds the whole row `r` of the C tile as one
-/// 8-lane `__m512d`. Per k step: one unaligned load of the packed-B row,
+/// Register layout: `acc[r]` holds row `r` of the C tile as two 8-lane
+/// `__m512d` — 16 independent chains, enough to cover the FMA latency
+/// on both ports. Per k step: two unaligned loads of the packed-B row,
 /// then for each of the MR rows one broadcast of the packed-A value and
-/// one `vfmadd231pd` — exactly one fused multiply-add per accumulator per
-/// k step, ascending k, matching the scalar kernel's rounding order lane
-/// for lane (a correctly-rounded FMA is the same bits wherever it runs).
+/// one `vfmadd231pd` per half — exactly one fused multiply-add per
+/// accumulator per k step, ascending k, matching the scalar kernel's
+/// rounding order lane for lane (a correctly-rounded FMA is the same bits
+/// wherever it runs).
 ///
 /// # Safety
 ///
@@ -551,37 +573,34 @@ unsafe fn avx512_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
     use std::arch::x86_64::{
         _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
     };
-    let mut acc = [_mm512_setzero_pd(); MR];
+    let mut acc = [[_mm512_setzero_pd(); 2]; MR];
     for p in 0..kc {
         // SAFETY (pointer arithmetic): p < kc and the caller guarantees
-        // bp holds kc * NR elements, so the 8-lane load stays in bounds.
-        let b = _mm512_loadu_pd(bp.as_ptr().add(p * NR));
-        let av = &ap[p * MR..(p + 1) * MR];
-        for (accr, ar) in acc.iter_mut().zip(av) {
-            let a = _mm512_set1_pd(*ar);
-            *accr = _mm512_fmadd_pd(a, b, *accr);
+        // ap holds kc * MR and bp kc * NR elements, so every access stays
+        // in bounds.
+        let b0 = _mm512_loadu_pd(bp.as_ptr().add(p * NR));
+        let b1 = _mm512_loadu_pd(bp.as_ptr().add(p * NR + 8));
+        let av = ap.as_ptr().add(p * MR);
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let a = _mm512_set1_pd(*av.add(r));
+            accr[0] = _mm512_fmadd_pd(a, b0, accr[0]);
+            accr[1] = _mm512_fmadd_pd(a, b1, accr[1]);
         }
     }
     let mut out = [[0.0f64; NR]; MR];
     for (outr, accr) in out.iter_mut().zip(&acc) {
-        // SAFETY: outr is an [f64; 8]; one 8-lane store covers it exactly.
-        _mm512_storeu_pd(outr.as_mut_ptr(), *accr);
+        // SAFETY: outr is an [f64; 16]; the two stores cover it exactly.
+        _mm512_storeu_pd(outr.as_mut_ptr(), accr[0]);
+        _mm512_storeu_pd(outr.as_mut_ptr().add(8), accr[1]);
     }
     out
 }
 
-/// 4×8 f32 micro-kernel on AVX512F: two 16-lane `__m512` accumulators,
-/// each packing two adjacent C rows (lanes 0..8 = row 2q, lanes 8..16 =
-/// row 2q+1). Per k step: the 8-value packed-B row is loaded once and
-/// lane-duplicated into both halves with `vpermps`, the A pair is
-/// pair-broadcast the same way, and each accumulator receives one
-/// `vfmadd231ps` — still exactly one fused multiply-add per scalar
-/// accumulator lane per k step, ascending k, so the bitwise-identity
-/// contract holds.
-///
-/// Only AVX512F instructions are used: `_mm512_permutexvar_ps` indexes
-/// never select lanes above 7, so the undefined upper lanes of the
-/// 128/256→512 casts are never observed.
+/// 8×16 f32 micro-kernel on AVX512F: `acc[r]` holds row `r` of the C
+/// tile as one 16-lane `__m512` (8 chains). Per k step: one load of the
+/// packed-B row, then per row one broadcast and one `vfmadd231ps` —
+/// exactly one fused multiply-add per accumulator lane per k step,
+/// ascending k, so the bitwise-identity contract holds.
 ///
 /// # Safety
 ///
@@ -592,36 +611,23 @@ unsafe fn avx512_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
 #[target_feature(enable = "avx512f")]
 unsafe fn avx512_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
     use std::arch::x86_64::{
-        _mm256_loadu_ps, _mm512_castps128_ps512, _mm512_castps256_ps512, _mm512_fmadd_ps,
-        _mm512_permutexvar_ps, _mm512_setr_epi32, _mm512_setzero_ps, _mm512_storeu_ps,
-        _mm_loadu_ps,
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
     };
-    // Duplicate B's 8 lanes into both 256-bit halves.
-    let dup_b = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7);
-    // Broadcast A lane 2q into the low half and lane 2q+1 into the high.
-    let pair0 = _mm512_setr_epi32(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1);
-    let pair1 = _mm512_setr_epi32(2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-    let mut acc = [_mm512_setzero_ps(); MR / 2];
+    let mut acc = [_mm512_setzero_ps(); MR];
     for p in 0..kc {
         // SAFETY (pointer arithmetic): p < kc and the caller guarantees
-        // bp holds kc * NR elements and ap holds kc * MR, so the 8-lane B
-        // load and the widened A splat stay in bounds.
-        let b8 = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-        let b = _mm512_permutexvar_ps(dup_b, _mm512_castps256_ps512(b8));
-        // MR = 4 A values in one 4-lane load; the pair permutes read only
-        // lanes 0..4, so the cast's undefined upper lanes are never used.
-        let a4 = _mm512_castps128_ps512(_mm_loadu_ps(ap.as_ptr().add(p * MR)));
-        let a01 = _mm512_permutexvar_ps(pair0, a4);
-        let a23 = _mm512_permutexvar_ps(pair1, a4);
-        acc[0] = _mm512_fmadd_ps(a01, b, acc[0]);
-        acc[1] = _mm512_fmadd_ps(a23, b, acc[1]);
+        // ap holds kc * MR and bp kc * NR elements.
+        let b = _mm512_loadu_ps(bp.as_ptr().add(p * NR));
+        let av = ap.as_ptr().add(p * MR);
+        for (r, accr) in acc.iter_mut().enumerate() {
+            *accr = _mm512_fmadd_ps(_mm512_set1_ps(*av.add(r)), b, *accr);
+        }
     }
     let mut out = [[0.0f32; NR]; MR];
-    let out_ptr = out.as_mut_ptr().cast::<f32>();
-    // SAFETY: out is a contiguous [[f32; 8]; 4] = 32 f32; the two 16-lane
-    // stores cover rows 0..2 and 2..4 exactly.
-    _mm512_storeu_ps(out_ptr, acc[0]);
-    _mm512_storeu_ps(out_ptr.add(16), acc[1]);
+    for (outr, accr) in out.iter_mut().zip(&acc) {
+        // SAFETY: outr is an [f32; 16]; one 16-lane store covers it exactly.
+        _mm512_storeu_ps(outr.as_mut_ptr(), *accr);
+    }
     out
 }
 
@@ -629,74 +635,45 @@ unsafe fn avx512_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
 mod tests {
     use super::*;
 
-    fn panels(kc: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    /// Seeded packed panels of `kc` steps from one LCG stream.
+    fn panels<T: Scalar>(kc: usize, seed: u64) -> (Vec<T>, Vec<T>) {
         let mut state = seed | 1;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+            T::from_f64(((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5)
         };
-        let ap: Vec<f64> = (0..kc * MR).map(|_| next()).collect();
-        let bp: Vec<f64> = (0..kc * NR).map(|_| next()).collect();
+        let ap: Vec<T> = (0..kc * MR).map(|_| next()).collect();
+        let bp: Vec<T> = (0..kc * NR).map(|_| next()).collect();
         (ap, bp)
     }
 
-    #[test]
-    fn avx2_matches_scalar_bitwise_when_available() {
-        if !avx2_supported() {
-            return;
-        }
+    /// Every available variant reproduces the scalar tile bit for bit, for
+    /// both element types and k depths from one step to a full KC chunk.
+    fn assert_variants_match_scalar<T: Scalar>(label: &str) {
         for kc in [1usize, 3, 64, 256] {
-            let (ap, bp) = panels(kc, 1000 + kc as u64);
-            let s = micro_kernel_scalar(&ap, &bp, kc);
-            let v = micro_kernel::<f64>(KernelVariant::Avx2, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        s[r][j].to_bits(),
-                        v[r][j].to_bits(),
-                        "avx2 != scalar at kc={kc} r={r} j={j}"
-                    );
+            let (ap, bp) = panels::<T>(kc, 1000 + kc as u64);
+            let want = micro_kernel_scalar(&ap, &bp, kc);
+            for v in available_variants() {
+                let got = micro_kernel::<T>(v, &ap, &bp, kc);
+                for r in 0..MR {
+                    for j in 0..NR {
+                        assert!(
+                            want[r][j].to_f64().to_bits() == got[r][j].to_f64().to_bits(),
+                            "{v} {label} != scalar at kc={kc} r={r} j={j}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn avx512_matches_scalar_bitwise_when_available() {
+    fn every_variant_matches_scalar_bitwise_for_f64_and_f32() {
         if !avx512_supported() {
-            eprintln!("ukernel tests: host lacks avx512f; skipping avx512 bitwise pin");
-            return;
+            eprintln!("ukernel tests: host lacks avx512f; avx512 not swept");
         }
-        for kc in [1usize, 3, 64, 256] {
-            let (ap, bp) = panels(kc, 5000 + kc as u64);
-            let s = micro_kernel_scalar(&ap, &bp, kc);
-            let v = micro_kernel::<f64>(KernelVariant::Avx512, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        s[r][j].to_bits(),
-                        v[r][j].to_bits(),
-                        "avx512 != scalar at kc={kc} r={r} j={j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_variants_agree_bitwise() {
-        let kc = 37;
-        let ap: Vec<f32> = (0..kc * MR).map(|i| (i as f32).sin()).collect();
-        let bp: Vec<f32> = (0..kc * NR).map(|i| (i as f32).cos()).collect();
-        let s = micro_kernel_scalar(&ap, &bp, kc);
-        for v in available_variants() {
-            let got = micro_kernel::<f32>(v, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(s[r][j].to_bits(), got[r][j].to_bits(), "{v} r={r} j={j}");
-                }
-            }
-        }
+        assert_variants_match_scalar::<f64>("f64");
+        assert_variants_match_scalar::<f32>("f32");
     }
 
     #[test]

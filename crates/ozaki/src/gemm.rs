@@ -180,10 +180,16 @@ pub fn ozaki_gemm(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig) -> OzakiReport 
     run(a, b, cfg, &Simulated, None)
 }
 
-/// The pipeline: split, pack each slice once into the engine's element
-/// type, then fold slice-pair engine calls into per-element accumulators
-/// — over the whole matrix (serial) or over disjoint row panels of the
-/// accumulator grid, one pool job per panel.
+/// The pipeline, for every substrate, with DGEMM's value classes at the
+/// edges of the input domain.
+///
+/// Slicing only represents finite values, so a row of A or a column of B
+/// that holds ±Inf or NaN is marked and replaced by a zero line before
+/// the split (`narrow` never sees a non-finite value). Every C entry that
+/// touches a marked line is then recomputed as an ascending-k f64
+/// `mul_add` dot over the original values, which yields the NaN/±Inf
+/// pattern a DGEMM gives. Finite inputs take none of this: their result is
+/// exactly the scheme's.
 pub(crate) fn run<E: SliceEngine>(
     a: &Mat<f64>,
     b: &Mat<f64>,
@@ -192,6 +198,40 @@ pub(crate) fn run<E: SliceEngine>(
     pool: Option<&me_par::WorkerPool>,
 ) -> OzakiReport {
     assert_eq!(a.cols(), b.rows(), "ozaki_gemm: inner dimension mismatch");
+    let (m, k) = a.shape();
+    let n = b.cols();
+    let bad_rows: Vec<bool> = (0..m).map(|i| a.row(i).iter().any(|x| !x.is_finite())).collect();
+    let mut bad_cols = vec![false; n];
+    for p in 0..k {
+        for (bad, x) in bad_cols.iter_mut().zip(b.row(p)) {
+            *bad |= !x.is_finite();
+        }
+    }
+    if !bad_rows.contains(&true) && !bad_cols.contains(&true) {
+        return run_finite(a, b, cfg, engine, pool);
+    }
+    let a0 = Mat::from_fn(m, k, |i, p| if bad_rows[i] { 0.0 } else { a[(i, p)] });
+    let b0 = Mat::from_fn(k, n, |p, j| if bad_cols[j] { 0.0 } else { b[(p, j)] });
+    let mut report = run_finite(&a0, &b0, cfg, engine, pool);
+    for i in 0..m {
+        for j in (0..n).filter(|&j| bad_rows[i] || bad_cols[j]) {
+            report.c[(i, j)] = (0..k).fold(0.0, |acc, p| a[(i, p)].mul_add(b[(p, j)], acc));
+        }
+    }
+    report
+}
+
+/// The scheme on finite operands: split, pack each slice once into the
+/// engine's element type, then fold slice-pair engine calls into
+/// per-element accumulators — over the whole matrix (serial) or over
+/// disjoint row panels of the accumulator grid, one pool job per panel.
+fn run_finite<E: SliceEngine>(
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    cfg: &OzakiConfig,
+    engine: &E,
+    pool: Option<&me_par::WorkerPool>,
+) -> OzakiReport {
     let (m, k) = a.shape();
     let n = b.cols();
     let Schedule { beta, budget, cutoff } = cfg.schedule(k, engine.widths());

@@ -19,14 +19,17 @@
 //!   subnormals, and large-magnitude entries that force catastrophic
 //!   cancellation in the accumulators;
 //! - every available variant, serial and at thread counts {1, 2, 8},
-//!   against the scalar serial reference.
+//!   against the scalar serial reference;
+//! - a tile-free oracle that computes each C element on its own, with no
+//!   reference to MR or NR, so a change of the micro-tile is checked
+//!   against the per-element FMA order itself, not against another tile.
 //!
 //! A mismatch fails with the first differing (i, j, bits) triple so the
 //! exact rounding divergence is reproducible from the printed case.
 
 use matrix_engines::linalg::{
-    available_variants, avx512_supported, GemmPlan, HalfKind, HalfMat, KernelVariant, Mat,
-    Workers,
+    available_variants, avx512_supported, Blocking, GemmOperand, GemmPlan, HalfKind, HalfMat,
+    KernelVariant, Mat, Scalar, Workers,
 };
 use me_numerics::Rng64;
 
@@ -384,4 +387,138 @@ fn runtime_override_steers_default_entry_points_bitwise_identically() {
         }
     }
     set_kernel_override(None);
+}
+
+/// The tile-free oracle: each C element on its own, never touching MR or
+/// NR. C is first scaled by β (β = 0 stores +0 without reading C); then,
+/// per ascending `kc` chunk of k, an ascending-k `mul_add` chain from +0
+/// is folded into C by the packed core's write-back rule: `acc + c` at
+/// α = 1, else the fused `α·acc + c`.
+fn tile_free_oracle<T: Scalar>(
+    alpha: T,
+    a: &Mat<T>,
+    b: &Mat<T>,
+    beta: T,
+    c: &mut Mat<T>,
+    kc: usize,
+) {
+    let ((m, k), n) = (a.shape(), b.cols());
+    for v in c.as_mut_slice() {
+        *v = if beta == T::ZERO { T::ZERO } else { *v * beta };
+    }
+    for i in 0..m {
+        for j in 0..n {
+            for kb in (0..k).step_by(kc) {
+                let mut acc = T::ZERO;
+                for p in kb..k.min(kb + kc) {
+                    acc = a[(i, p)].mul_add(b[(p, j)], acc);
+                }
+                c[(i, j)] =
+                    if alpha == T::ONE { acc + c[(i, j)] } else { alpha.mul_add(acc, c[(i, j)]) };
+            }
+        }
+    }
+}
+
+/// A bitwise comparison with first-mismatch reporting, per element type.
+type AssertBitwise<T> = fn(&str, &Mat<T>, &Mat<T>);
+
+/// One operand pair against [`tile_free_oracle`] on the widened copies
+/// `wa`, `wb`: every available variant at workers {1, 2, 8}.
+fn assert_matches_oracle<A: GemmOperand>(
+    label: &str,
+    (a, b): (&A, &A),
+    (wa, wb): (&Mat<A::Elem>, &Mat<A::Elem>),
+    (alpha, beta): (A::Elem, A::Elem),
+    c0: &Mat<A::Elem>,
+    blocking: Blocking,
+    assert_bitwise: AssertBitwise<A::Elem>,
+) {
+    let mut want = c0.clone();
+    tile_free_oracle(alpha, wa, wb, beta, &mut want, blocking.kc);
+    for v in available_variants() {
+        for t in THREADS {
+            let mut c = c0.clone();
+            GemmPlan::new(v)
+                .with_blocking(blocking)
+                .with_workers(Workers::Threads(t))
+                .run(alpha, a, b, beta, &mut c);
+            assert_bitwise(&format!("{label} {v} t={t} {blocking}"), &c, &want);
+        }
+    }
+}
+
+/// α values for the oracle: the unit fast path, zero, and two that are
+/// not powers of two, so `α·acc` rounds and a write-back that is not
+/// fused would show.
+const ALPHAS: [f64; 4] = [1.0, 0.3, -1.7, 0.0];
+/// β values for the oracle: the overwrite path, plain accumulation, and
+/// two scalings.
+const BETAS: [f64; 4] = [0.0, 1.0, -0.7, 0.5];
+
+/// Every variant at workers {1, 2, 8} against [`tile_free_oracle`], for
+/// f64, f32 and both half kinds widened to f32, over shapes that cross
+/// the `kc` grid (k = 257, 513) and both tile edges (m, n ∈ {1, 7, 9, 15,
+/// 17, 33}). The [`ALPHAS`] × [`BETAS`] cross cycles over the grid, and
+/// two blockings alternate: the default, and one whose small `mc`/`nc`
+/// also split A and B into several cache blocks.
+#[test]
+fn every_variant_matches_the_tile_free_oracle() {
+    let edges = [1usize, 7, 9, 15, 17, 33];
+    let blockings = [Blocking::DEFAULT, Blocking { mc: 16, kc: 256, nc: 32 }.normalized()];
+    let mut case = 0usize;
+    for k in [257usize, 513] {
+        for &m in &edges {
+            for &n in &edges {
+                let alpha = ALPHAS[case % ALPHAS.len()];
+                let beta = BETAS[(case / ALPHAS.len()) % BETAS.len()];
+                let blocking = blockings[case % blockings.len()];
+                case += 1;
+                let seed = 0x0AC1E ^ ((m as u64) << 32 | (k as u64) << 16 | n as u64);
+                let mut rng = Rng64::seed_from_u64(seed);
+                let label = format!("m={m} k={k} n={n} alpha={alpha} beta={beta}");
+
+                let (a, b, c0) =
+                    (gen_mat(&mut rng, m, k), gen_mat(&mut rng, k, n), gen_mat(&mut rng, m, n));
+                let coeffs = (alpha, beta);
+                assert_matches_oracle(
+                    &format!("f64 {label}"),
+                    (&a, &b),
+                    (&a, &b),
+                    coeffs,
+                    &c0,
+                    blocking,
+                    assert_bitwise_f64,
+                );
+
+                let narrow =
+                    |x: &Mat<f64>| Mat::<f32>::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)] as f32);
+                let (a, b, c0) = (narrow(&a), narrow(&b), narrow(&c0));
+                let coeffs = (alpha as f32, beta as f32);
+                assert_matches_oracle(
+                    &format!("f32 {label}"),
+                    (&a, &b),
+                    (&a, &b),
+                    coeffs,
+                    &c0,
+                    blocking,
+                    assert_bitwise_f32,
+                );
+
+                for kind in [HalfKind::F16, HalfKind::Bf16] {
+                    let (ha, hb) = (gen_half(&mut rng, kind, m, k), gen_half(&mut rng, kind, k, n));
+                    let (wa, wb) = (ha.widen(), hb.widen());
+                    assert_matches_oracle(
+                        &format!("{kind} {label}"),
+                        (&ha, &hb),
+                        (&wa, &wb),
+                        coeffs,
+                        &c0,
+                        blocking,
+                        assert_bitwise_f32,
+                    );
+                }
+            }
+        }
+    }
 }

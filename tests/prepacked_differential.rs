@@ -18,6 +18,7 @@ use matrix_engines::linalg::{
     available_variants, gemm_tiled_prepacked_with, pack_b_matrix, Blocking, GemmPlan, Mat,
     Workers,
 };
+use me_linalg::blas3::{MR, NR};
 use me_numerics::Rng64;
 use me_par::WorkerPool;
 
@@ -29,7 +30,7 @@ fn gen_mat(rng: &mut Rng64, rows: usize, cols: usize) -> Mat<f64> {
 fn prepacked_gemm_is_bitwise_identical_to_fresh_pack() {
     let shapes = [
         (1usize, 4usize, 8usize),  // single-row inference request
-        (4, 8, 8),                 // exactly one MR × NR tile
+        (MR, NR, NR),              // exactly one MR × NR tile
         (7, 13, 11),               // ragged on every dimension
         (33, 80, 56),              // multiple blocks with edge tiles
         (64, 129, 96),             // k crosses a kc=128 chunk boundary
